@@ -1,6 +1,6 @@
 """Query-time expression compilation.
 
-The interpreted evaluator (:mod:`repro.engine.expressions`) builds a
+The reference evaluator (:mod:`repro.engine.expressions`) builds a
 ``RowContext`` dict per row and tree-walks ``Expression.evaluate`` per node —
 fine for correctness, but the Figure 4/5 benchmarks then measure interpreter
 overhead instead of the aggregation pattern the paper studies.  This module
@@ -10,11 +10,26 @@ resolved to tuple indices at plan time, scalar functions are looked up once,
 and each node becomes a small closure, so per-row evaluation is a chain of
 direct calls with no dict building and no ``isinstance`` dispatch.
 
-Compilation is best-effort: :func:`compile_expression` returns ``None`` for
-any construct it does not cover (window calls, aggregate calls, unresolvable
-names, unbound parameters), and the executor falls back to the interpreted
-path — the two tiers must produce identical results, which
-``tests/engine/test_compiled_parity.py`` asserts over a corpus of queries.
+:func:`compile_expression` is strict and serves two kinds of caller:
+
+* **Planning gates** ask a yes/no question — can this conjunct be pushed
+  below a join (``join.py``), probed through an index
+  (``planner.choose_access_path``), shipped to a worker
+  (``Executor._parallel_grouped``)?  ``None`` is their "no"; nothing is
+  evaluated on the strength of it.
+* **The evaluation seam**, ``Executor._compile``, is total: every site that
+  evaluates an expression calls the ``fn(row)`` it returns.  Valid statements
+  always compile; ``None`` there means a malformed statement (unknown column
+  or function, unbound parameter, unknown cast type), and the seam substitutes
+  the reference evaluator's adapter
+  (:func:`~repro.engine.expressions.interpreted_row_function`) so the
+  statement raises that tier's error on the first row it evaluates.
+
+Aggregate and window calls are never evaluated per row: the executor computes
+them and appends the values to the row, and the ``slots`` map
+(``id(call node)`` → row position) compiles each such call to a positional
+read.  ``tests/engine/test_compiled_parity.py`` holds the closures and the
+reference evaluator to identical results and identical errors.
 
 NULL semantics are inherited rather than re-implemented: compiled closures
 call the *same* operator functions (``_BINARY_OPS``, :func:`is_null`,
@@ -50,6 +65,7 @@ from .expressions import (
     like_match,
     like_regex,
 )
+from ..errors import TypeMismatchError
 from .types import (
     BIGINT,
     BOOLEAN,
@@ -76,7 +92,7 @@ RowFunction = Callable[[Tuple[Any, ...]], Any]
 
 
 class _Uncompilable(Exception):
-    """Raised internally when a subtree cannot be compiled (fallback signal)."""
+    """Raised internally when a subtree is outside the compilable subset."""
 
 
 def keys_for_columns(
@@ -86,8 +102,8 @@ def keys_for_columns(
 
     This is the canonical name-visibility rule for a relation: a qualified key
     when the column has a source alias, plus the bare name when it is unique
-    across the relation.  ``Executor._Relation.context_keys`` (interpreted
-    tier) and :class:`ColumnLayout` (compiled tier) both derive from it, and
+    across the relation.  The reference evaluator's ``RowContext`` and
+    :class:`ColumnLayout` (compiled tier) both derive from it, and
     the join planner uses it to build layouts for the *two-relation* case —
     each side alone plus the combined ``left.columns + right.columns`` row —
     so a pushed-down predicate resolves names exactly as the post-join row
@@ -112,9 +128,10 @@ def keys_for_columns(
 class ColumnLayout:
     """Positional name resolution for one relation.
 
-    Mirrors the key layout ``Executor._make_contexts`` builds (qualified key,
-    then bare key when unambiguous, later duplicates winning) so that a
-    compiled ``ColumnRef`` reads the same value the interpreted lookup would.
+    Mirrors the key layout the reference evaluator's adapter builds
+    (qualified key, then bare key when unambiguous, later duplicates winning)
+    so that a compiled ``ColumnRef`` reads the same value the interpreted
+    lookup would.
     """
 
     def __init__(self, keys_per_column: Sequence[Sequence[str]]) -> None:
@@ -133,8 +150,8 @@ class ColumnLayout:
         """Tuple indices of every column reference in ``expression``.
 
         ``None`` when any reference fails to resolve (missing or ambiguous
-        name) — the join planner then abandons its plan so the interpreted
-        path can raise the proper error.  An expression with no column
+        name) — the join planner then abandons its plan so evaluation can
+        raise the proper error.  An expression with no column
         references returns the empty set (a constant predicate).
         """
         indices = set()
@@ -151,8 +168,8 @@ class ColumnLayout:
 
         Follows ``RowContext.lookup``: qualified key first, then bare key,
         then a unique qualified match for a bare reference.  Ambiguous or
-        missing names return ``None`` so the interpreted path can raise the
-        proper error.
+        missing names return ``None`` so the reference evaluator can raise
+        the proper error.
         """
         if qualifier is not None:
             return self.key_to_index.get(f"{qualifier.lower()}.{name.lower()}")
@@ -172,14 +189,24 @@ def compile_expression(
     functions: Dict[str, Callable[..., Any]],
     parameters: Optional[Dict[str, Any]] = None,
     aggregate_names: Optional[frozenset] = None,
+    slots: Optional[Dict[int, int]] = None,
 ) -> Optional[RowFunction]:
     """Compile an expression tree to a closure over positional row tuples.
 
-    Returns ``None`` when any node is outside the compilable subset; callers
-    must then use the interpreted ``Expression.evaluate`` path.
+    ``slots`` maps ``id(node)`` of already-computed aggregate/window calls to
+    the row position holding their value.  Returns ``None`` when any node is
+    outside the compilable subset (see the module docstring for what callers
+    do with that).
     """
     try:
-        return _compile(expression, layout, functions, parameters or {}, aggregate_names or frozenset())
+        return _compile(
+            expression,
+            layout,
+            functions,
+            parameters or {},
+            aggregate_names or frozenset(),
+            slots or {},
+        )
     except _Uncompilable:
         return None
 
@@ -190,8 +217,11 @@ def _compile(
     functions: Dict[str, Callable[..., Any]],
     parameters: Dict[str, Any],
     aggregate_names: frozenset,
+    slots: Dict[int, int],
 ) -> RowFunction:
-    recurse = lambda child: _compile(child, layout, functions, parameters, aggregate_names)
+    recurse = lambda child: _compile(
+        child, layout, functions, parameters, aggregate_names, slots
+    )
 
     if isinstance(node, Literal):
         value = node.value
@@ -205,7 +235,7 @@ def _compile(
 
     if isinstance(node, Parameter):
         if node.name not in parameters:
-            # Unbound parameter: let the interpreted path raise the error.
+            # Unbound parameter: the reference evaluator raises the error.
             raise _Uncompilable(node.name)
         value = parameters[node.name]
         return lambda row: value
@@ -247,6 +277,10 @@ def _compile(
 
             return negate
         raise _Uncompilable(node.op)
+
+    if isinstance(node, (FunctionCall, WindowCall)) and id(node) in slots:
+        slot = slots[id(node)]
+        return lambda row: row[slot]
 
     if isinstance(node, WindowCall) or isinstance(node, Star):
         raise _Uncompilable(type(node).__name__)
@@ -319,7 +353,7 @@ def _compile(
         operand = recurse(node.operand)
         try:
             sql_type = type_from_name(node.type_name)
-        except Exception:
+        except TypeMismatchError:
             raise _Uncompilable(node.type_name) from None
         return lambda row: coerce_value(operand(row), sql_type)
 

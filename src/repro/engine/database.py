@@ -54,11 +54,13 @@ class Database:
         When true (default), aggregates over segmented tables run the
         per-segment transition + merge path.
     compiled_execution:
-        When true (default), SELECT execution uses the compiled/vectorized
-        fast path (expressions compiled to positional-row closures, batched
-        aggregate transitions); when false every query takes the interpreted
-        row-at-a-time path.  The two must agree — the flag exists so the
-        parity suite and the microbenchmarks can compare them.
+        When true (default), every expression runs as a compiled
+        positional-row closure and aggregates use batched transitions; when
+        false ``Executor._compile`` hands out the reference evaluator
+        (tree-walking ``Expression.evaluate``) instead, and everything that
+        needs compiled predicates — batched kernels, bitmap scans, hash
+        joins, index scans — is off.  The two must agree — the flag exists
+        so the parity suite and the microbenchmarks can compare them.
     parallel:
         Number of worker *processes* for real parallel segment execution
         (the third execution tier, :mod:`repro.engine.parallel`).  ``0``
@@ -73,19 +75,11 @@ class Database:
         When true (default), equi-joins — explicit ``JOIN ... ON`` and
         implicit multi-table FROM lists with WHERE equality conjuncts — run
         as build/probe hash joins with predicate pushdown
-        (:mod:`repro.engine.join`); when false every join takes the legacy
-        interpreted nested loop / Cartesian-product path.  Results are
+        (:mod:`repro.engine.join`); when false every join takes the nested
+        loop / Cartesian-product path.  Results are
         identical either way — the flag exists so the join parity suite and
         the ``--joins`` microbenchmark can compare the strategies.  Hash
         joins also require ``compiled_execution``.
-    use_indexes:
-        When true (default), the planner (:mod:`repro.engine.planner`) may
-        rewrite a single-table WHERE into a secondary-index probe
-        (``CREATE INDEX``) whenever its estimated selectivity beats the full
-        segment scan.  Results are byte-identical either way — the flag
-        exists so the planner parity suite and the ``--indexes``
-        microbenchmark can compare access paths.  Index scans also require
-        ``compiled_execution``.
     auto_analyze:
         When true, the planner refreshes a table's ``ANALYZE`` statistics at
         planning time once enough DML has accumulated since the last
@@ -146,7 +140,6 @@ class Database:
         compiled_execution: bool = True,
         parallel: int = 0,
         hash_joins: bool = True,
-        use_indexes: bool = True,
         auto_analyze: bool = False,
         columnar_storage: bool = True,
         columnar_compression: bool = True,
@@ -168,7 +161,6 @@ class Database:
         self.parallel_aggregation = parallel_aggregation
         self.compiled_execution = compiled_execution
         self.hash_joins = hash_joins
-        self.use_indexes = use_indexes
         self.auto_analyze = auto_analyze
         self.columnar_storage = bool(columnar_storage)
         self.columnar_compression = bool(columnar_compression)

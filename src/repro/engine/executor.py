@@ -8,33 +8,37 @@ the Figure 4 / Figure 5 experiments measure.  Joins have their own execution
 layer (:mod:`repro.engine.join`): inner/left equi-joins — and implicit
 multi-table FROM lists whose WHERE clause contains cross-source equality
 conjuncts — run as compiled build/probe hash joins with single-side conjuncts
-pushed below the join, falling back to the interpreted nested loop for
-anything the planner cannot prove safe.  Everything else (subqueries, window
-functions, DML) exists so that MADlib-style methods can be written as plain
-SQL plus driver functions, exactly as in the paper.
+pushed below the join, falling back to a nested loop over the compiled ON
+condition for anything the planner cannot prove safe.  Everything else
+(subqueries, window functions, DML) exists so that MADlib-style methods can be
+written as plain SQL plus driver functions, exactly as in the paper.
 
-SELECT execution is tiered (see ``docs/engine-execution.md`` and
-``docs/architecture.md``):
+Every expression the executor evaluates — WHERE, select list, GROUP BY keys,
+aggregate arguments, HAVING, ORDER BY keys, window partition/order/argument
+keys, join ON conditions, UPDATE SET, DELETE WHERE, INSERT VALUES — goes
+through one seam, :meth:`Executor._compile`, which always returns a function
+over a positional row.  Aggregate and window results are appended to the row
+as trailing slots, so the expressions around them are ordinary ``fn(row)``
+calls too.  There are two production tiers (see ``docs/engine-execution.md``
+and ``docs/architecture.md``):
 
-* **Compiled/vectorized fast path** — expressions (WHERE predicates, select
-  lists, GROUP BY keys, aggregate arguments) are compiled once per query into
-  closures over positional row tuples (:mod:`repro.engine.compile`); when the
-  aggregated input is an unfiltered base-table scan and the aggregate's
-  arguments are plain column references, per-segment argument streams come
-  straight from the table's cached columnar view as
-  :class:`~repro.engine.vectorized.ColumnBatch` slices, and aggregates with a
-  ``batch_transition`` consume each segment in a single batched call.
-* **Interpreted fallback** — any construct outside the compilable subset
-  (window calls, unresolvable names, unbound parameters, DISTINCT aggregates)
-  drops back to per-row :class:`RowContext` dicts and tree-walking
-  ``Expression.evaluate``, built lazily so the fast path never pays for them.
-* **Parallel tier** — with ``Database(parallel=N)``, mergeable aggregates
+* **Compiled + batched** — ``_compile`` returns a closure built once per
+  statement (:mod:`repro.engine.compile`); when the aggregated input is a
+  base-table scan and the aggregate's arguments are plain column references,
+  per-segment argument streams come straight from the table's packed columns
+  as :class:`~repro.engine.vectorized.ColumnBatch` slices, and aggregates
+  with a ``batch_transition`` consume each segment in a single batched call.
+* **Parallel** — with ``Database(parallel=N)``, mergeable aggregates
   additionally fan their per-segment folds out to the persistent worker pool
   (:mod:`repro.engine.parallel`); the coordinator merges the partial states.
-  Results are identical to the in-process tiers by construction.
+  Results are identical to the in-process tier by construction.
 
-Both tiers must produce identical results; ``tests/engine/test_compiled_parity.py``
-runs a query corpus through each and asserts it.
+The **reference evaluator** (tree-walking ``Expression.evaluate``) is one
+adapter behind the same seam: ``_compile`` returns it when the compiler
+declines a malformed statement — which then raises the evaluator's own error
+on the first row — and for every expression under
+``Database(compiled_execution=False)``, the oracle
+``tests/engine/test_compiled_parity.py`` compares the closures against.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +56,7 @@ from .aggregates import AggregateDefinition
 from .columnar import SelectedRows
 from .compile import (
     ColumnLayout,
+    RowFunction,
     compile_expression,
     compile_predicate_vector,
     keys_for_columns,
@@ -78,9 +83,9 @@ from .expressions import (
     Expression,
     FunctionCall,
     Literal,
-    RowContext,
     Star,
     WindowCall,
+    interpreted_row_function,
 )
 from . import matview as matview_module
 from .parser.ast_nodes import (
@@ -162,44 +167,17 @@ class _Relation:
         return (self.distribution_index, self.distribution_type)
 
 
-class _LazyContexts:
-    """List-like provider of per-row :class:`RowContext` dicts, built on demand.
+class _CompileEnv(NamedTuple):
+    """What the expressions over one relation's rows compile against."""
 
-    The compiled fast path never touches row dicts; this wrapper keeps the
-    interpreted fallback available (ORDER BY expressions, per-group
-    projection, uncompilable subtrees) without paying one dict per row up
-    front.  Contexts are cached, so repeated access stays cheap.
-    """
-
-    def __init__(
-        self,
-        relation: "_Relation",
-        functions: Dict[str, Callable[..., Any]],
-        parameters: Optional[Dict[str, Any]],
-    ) -> None:
-        self._keys_per_column = relation.context_keys()
-        self._rows = relation.rows
-        self._functions = functions
-        self._parameters = parameters
-        self._cache: Dict[int, RowContext] = {}
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index: int) -> RowContext:
-        context = self._cache.get(index)
-        if context is None:
-            values: Dict[str, Any] = {}
-            for column_keys, value in zip(self._keys_per_column, self._rows[index]):
-                for key in column_keys:
-                    values[key] = value
-            context = RowContext(values, self._functions, self._parameters)
-            self._cache[index] = context
-        return context
-
-    def __iter__(self):
-        for index in range(len(self._rows)):
-            yield self[index]
+    keys_per_column: List[List[str]]
+    layout: ColumnLayout
+    functions: Dict[str, Callable[..., Any]]
+    parameters: Optional[Dict[str, Any]]
+    aggregate_names: frozenset
+    #: ``id(call node)`` → row position, for aggregate/window calls whose
+    #: computed values the executor appended to the row.
+    slots: Dict[int, int]
 
 
 class Executor:
@@ -214,6 +192,7 @@ class Executor:
         self._registry_version = -1
         self._functions_cache: Dict[str, Callable[..., Any]] = {}
         self._aggregates_cache: Dict[str, AggregateDefinition] = {}
+        self._aggregate_names_cache: frozenset = frozenset()
 
     # ------------------------------------------------------------------ utils
 
@@ -232,6 +211,7 @@ class Executor:
                 name.lower(): self.catalog.get_aggregate(name)
                 for name in self.catalog.aggregate_names()
             }
+            self._aggregate_names_cache = frozenset(self._aggregates_cache)
             self._registry_version = version
 
     def _function_registry(self) -> Dict[str, Callable[..., Any]]:
@@ -242,40 +222,65 @@ class Executor:
         self._refresh_registries()
         return self._aggregates_cache
 
-    def _make_contexts(
-        self, relation: _Relation, parameters: Optional[Dict[str, Any]]
-    ) -> List[RowContext]:
-        """Eager per-row contexts — the interpreted fallback representation."""
-        return list(self._lazy_contexts(relation, parameters))
-
-    def _lazy_contexts(
-        self, relation: _Relation, parameters: Optional[Dict[str, Any]]
-    ) -> _LazyContexts:
-        return _LazyContexts(relation, self._function_registry(), parameters)
+    def _aggregate_names(self) -> frozenset:
+        self._refresh_registries()
+        return self._aggregate_names_cache
 
     # ------------------------------------------------------------------ compilation
 
-    def _compiler_env(self, relation: _Relation, parameters) -> Optional[tuple]:
-        """Per-query compilation environment, or None when compilation is off.
+    def _compiler_env(
+        self,
+        columns: Sequence[Tuple[Optional[str], str]],
+        parameters,
+        slots: Optional[Dict[int, int]] = None,
+    ) -> _CompileEnv:
+        """Compilation environment for rows laid out as ``columns``.
 
-        The layout depends only on the relation's column list, so one env is
-        valid across WHERE filtering (which preserves columns).
+        The layout depends only on the column list, so one env is valid
+        across WHERE filtering (which preserves columns).
         """
-        if not getattr(self.database, "compiled_execution", True):
-            return None
-        layout = ColumnLayout(relation.context_keys())
-        functions = self._function_registry()
-        aggregate_names = frozenset(
-            name.lower() for name in self.catalog.aggregate_names()
+        keys_per_column = keys_for_columns(columns)
+        return _CompileEnv(
+            keys_per_column,
+            ColumnLayout(keys_per_column),
+            self._function_registry(),
+            parameters,
+            self._aggregate_names(),
+            slots or {},
         )
-        return (layout, functions, parameters, aggregate_names)
 
-    def _compile(self, expression: Optional[Expression], env: Optional[tuple]):
-        """Compile one expression, or None (→ interpreted fallback)."""
-        if env is None or expression is None:
-            return None
-        layout, functions, parameters, aggregate_names = env
-        return compile_expression(expression, layout, functions, parameters, aggregate_names)
+    def _slotted_env(self, columns, parameters, calls: Sequence[Expression]) -> _CompileEnv:
+        """Env for rows of ``columns`` followed by one computed value per call.
+
+        ``calls`` are the aggregate or window call nodes the executor has
+        already evaluated; expressions compiled against this env read each
+        one back from its trailing slot.
+        """
+        width = len(columns)
+        return self._compiler_env(
+            columns, parameters, {id(call): width + k for k, call in enumerate(calls)}
+        )
+
+    def _compile(self, expression: Expression, env: _CompileEnv) -> RowFunction:
+        """The one expression-evaluation seam: always a function of one row.
+
+        The compiled closure by default.  The reference evaluator's adapter
+        when ``compiled_execution`` is off, or when the strict compiler
+        declines — which, at this seam, means a malformed statement; the
+        adapter resolves nothing ahead of time, so the statement raises the
+        evaluator's own error on the first row it evaluates and returns
+        normally over no rows.
+        """
+        keys_per_column, layout, functions, parameters, aggregate_names, slots = env
+        if self.database.compiled_execution:
+            fn = compile_expression(
+                expression, layout, functions, parameters, aggregate_names, slots
+            )
+            if fn is not None:
+                return fn
+        return interpreted_row_function(
+            expression, keys_per_column, functions, parameters, slots
+        )
 
     # ------------------------------------------------------------------ dispatch
 
@@ -338,12 +343,17 @@ class Executor:
 
     # ------------------------------------------------------------------ FROM clause
 
+    @staticmethod
+    def _table_columns(ref: TableRef, table: Table) -> List[Tuple[Optional[str], str]]:
+        """The ``(alias, name)`` columns a scan of ``table`` as ``ref`` exposes."""
+        alias = ref.effective_alias
+        return [(alias, name) for name in table.schema.names]
+
     def _scan_table(self, ref: TableRef, stats: Optional[ExecutionStats] = None) -> _Relation:
         if not self.catalog.has_table(ref.name) and self.catalog.has_matview(ref.name):
             return self._scan_matview(ref, stats)
         table = self.catalog.get_table(ref.name)
-        alias = ref.effective_alias
-        columns = [(alias, name) for name in table.schema.names]
+        columns = self._table_columns(ref, table)
         rows: List[Tuple[Any, ...]] = []
         segment_ids: List[int] = []
         for segment in range(table.num_segments):
@@ -404,9 +414,8 @@ class Executor:
 
     def _scan_function(self, source: FunctionSource, parameters) -> _Relation:
         name = source.name.lower()
-        functions = self._function_registry()
-        context = RowContext({}, functions, parameters)
-        args = [arg.evaluate(context) for arg in source.args]
+        env = self._compiler_env([], parameters)
+        args = [self._compile(arg, env)(()) for arg in source.args]
         if name == "generate_series":
             if len(args) == 2:
                 start, stop = int(args[0]), int(args[1])
@@ -540,22 +549,15 @@ class Executor:
                     )
                 return self._joined_relation(left, right, outcome)
 
-        # Interpreted nested-loop fallback: non-equi conditions, uncompilable
-        # or volatile subtrees, names the planner could not resolve.
-        combined_columns = left.columns + right.columns
-        probe = _Relation(combined_columns, [], [], left.num_segments)
-        keys_per_column = probe.context_keys()
-        functions = self._function_registry()
-        right_width = len(right.columns)
+        # Nested-loop fallback: non-equi conditions, volatile subtrees, names
+        # the planner could not resolve.
+        condition = self._compile(
+            join.condition, self._compiler_env(left.columns + right.columns, parameters)
+        )
         for i, left_row in enumerate(left.rows):
             matched = False
             for j, right_row in enumerate(right.rows):
-                values: Dict[str, Any] = {}
-                for column_keys, value in zip(keys_per_column, left_row + right_row):
-                    for key in column_keys:
-                        values[key] = value
-                context = RowContext(values, functions, parameters)
-                if join.condition.evaluate(context) is True:
+                if condition(left_row + right_row) is True:
                     pairs.append((i, j))
                     matched = True
             if join.kind == "left" and not matched:
@@ -779,9 +781,7 @@ class Executor:
         the executed plan by construction.
         """
         database = self.database
-        if not getattr(database, "use_indexes", True) or not getattr(
-            database, "compiled_execution", True
-        ):
+        if not database.compiled_execution:
             return None
         if len(statement.from_items) != 1 or not isinstance(
             statement.from_items[0], TableRef
@@ -802,7 +802,7 @@ class Executor:
             statement.where,
             self._function_registry(),
             parameters,
-            frozenset(name.lower() for name in self.catalog.aggregate_names()),
+            self._aggregate_names(),
             statistics,
         )
         if path is None:
@@ -822,8 +822,7 @@ class Executor:
         entries = path.probe()
         if entries is None:
             return None
-        alias = ref.effective_alias
-        columns = [(alias, name) for name in table.schema.names]
+        columns = self._table_columns(ref, table)
         rows: List[Tuple[Any, ...]] = []
         segment_ids: List[int] = []
         for segment, position in entries:
@@ -872,7 +871,7 @@ class Executor:
         """
         if statement.where is None:
             return None
-        if not getattr(self.database, "compiled_execution", True):
+        if not self.database.compiled_execution:
             return None
         if len(statement.from_items) != 1 or not isinstance(
             statement.from_items[0], TableRef
@@ -884,8 +883,7 @@ class Executor:
         table = self.catalog.get_table(ref.name)
         if not table.columnar:
             return None
-        alias = ref.effective_alias
-        columns = [(alias, name) for name in table.schema.names]
+        columns = self._table_columns(ref, table)
         predicate = compile_predicate_vector(
             statement.where,
             ColumnLayout(keys_for_columns(columns)),
@@ -961,19 +959,11 @@ class Executor:
             if stats.rows_scanned_per_source
             else len(relation.rows)
         )
-        env = self._compiler_env(relation, parameters)
-        contexts = self._lazy_contexts(relation, parameters)
+        env = self._compiler_env(relation.columns, parameters)
 
         if residual_where is not None:
             predicate = self._compile(residual_where, env)
-            if predicate is not None:
-                kept = [i for i, row in enumerate(relation.rows) if predicate(row) is True]
-            else:
-                kept = [
-                    i
-                    for i in range(len(relation.rows))
-                    if residual_where.evaluate(contexts[i]) is True
-                ]
+            kept = [i for i, row in enumerate(relation.rows) if predicate(row) is True]
             relation = _Relation(
                 relation.columns,
                 [relation.rows[i] for i in kept],
@@ -981,7 +971,6 @@ class Executor:
                 relation.num_segments,
             )
             # The column layout is unchanged, so `env` stays valid.
-            contexts = self._lazy_contexts(relation, parameters)
         # Rows surviving the WHERE stage — distinct from rows *touched*
         # (``rows_scanned``), which an index scan keeps small.
         stats.rows_matched = len(relation.rows)
@@ -1011,47 +1000,29 @@ class Executor:
                 select_items,
                 aggregate_calls,
                 relation,
-                contexts,
                 parameters,
                 stats,
                 env,
                 limit_hint=limit_hint,
             )
         else:
+            rows = relation.rows
             if window_calls:
-                aggregates = self._aggregate_registry()
-                context_list = list(contexts)
-                per_row = compute_window_values(window_calls, context_list, aggregates)
-                contexts = [ctx.with_values(extra) for ctx, extra in zip(context_list, per_row)]
-                output_rows = [
-                    tuple(item.expression.evaluate(ctx) for item in select_items)
-                    for ctx in contexts
-                ]
-            else:
-                item_fns = [self._compile(item.expression, env) for item in select_items]
-                if all(fn is not None for fn in item_fns):
-                    output_rows = [
-                        tuple(fn(row) for fn in item_fns) for row in relation.rows
-                    ]
-                else:
-                    output_rows = [
-                        tuple(item.expression.evaluate(ctx) for item in select_items)
-                        for ctx in contexts
-                    ]
+                # Window results ride as trailing slots of each row, where
+                # the select list and ORDER BY read them back by position.
+                window_values = compute_window_values(
+                    window_calls,
+                    rows,
+                    self._aggregate_registry(),
+                    lambda expression: self._compile(expression, env),
+                )
+                env = self._slotted_env(relation.columns, parameters, window_calls)
+                rows = [row + values for row, values in zip(rows, window_values)]
+            item_fns = [self._compile(item.expression, env) for item in select_items]
+            output_rows = [tuple(fn(row) for fn in item_fns) for row in rows]
             if statement.order_by:
-                order_key_fns = {
-                    id(order_item): self._compile(order_item.expression, env)
-                    for order_item in statement.order_by
-                }
                 output_rows = self._apply_order_by(
-                    statement.order_by,
-                    select_items,
-                    output_names,
-                    contexts,
-                    output_rows,
-                    compiled_keys=order_key_fns,
-                    relation_rows=relation.rows,
-                    limit_hint=limit_hint,
+                    statement.order_by, output_names, output_rows, rows, env, limit_hint
                 )
 
         if statement.distinct:
@@ -1074,45 +1045,43 @@ class Executor:
     def _apply_order_by(
         self,
         order_by: List[OrderItem],
-        select_items: List[SelectItem],
         output_names: List[str],
-        contexts,
         output_rows: List[Tuple[Any, ...]],
-        *,
-        compiled_keys: Optional[Dict[int, Any]] = None,
-        relation_rows: Optional[List[Tuple[Any, ...]]] = None,
+        source_rows: Sequence[Tuple[Any, ...]],
+        env: _CompileEnv,
         limit_hint: Optional[int] = None,
     ) -> List[Tuple[Any, ...]]:
+        """Sort ``output_rows``; ``source_rows[i]`` is the (``env``-shaped)
+        row that output row ``i`` was computed from."""
         indices = list(range(len(output_rows)))
         lowered_names = [name.lower() for name in output_names]
 
-        def key_value(order_item: OrderItem, index: int) -> Any:
-            expression = order_item.expression
-            # Ordinal (ORDER BY 1) and output-alias references.
+        def key_getter(expression: Expression) -> Callable[[int], Any]:
+            # Ordinal (ORDER BY 1) and output-alias references read the
+            # output row; anything else is evaluated over the source row.
+            position = None
             if isinstance(expression, Literal) and isinstance(expression.value, int):
-                return output_rows[index][expression.value - 1]
-            if isinstance(expression, ColumnRef) and expression.qualifier is None:
-                name = expression.name.lower()
-                if name in lowered_names:
-                    return output_rows[index][lowered_names.index(name)]
-            if compiled_keys is not None and relation_rows is not None:
-                compiled = compiled_keys.get(id(order_item))
-                if compiled is not None and index < len(relation_rows):
-                    return compiled(relation_rows[index])
-            if index < len(contexts):
-                return expression.evaluate(contexts[index])
-            raise ExecutionError("cannot evaluate ORDER BY expression for aggregated output")
+                position = expression.value - 1
+            elif isinstance(expression, ColumnRef) and expression.qualifier is None:
+                if expression.name.lower() in lowered_names:
+                    position = lowered_names.index(expression.name.lower())
+            if position is not None:
+                return lambda index: output_rows[index][position]
+            fn = self._compile(expression, env)
+            return lambda index: fn(source_rows[index])
+
+        key_getters = [key_getter(order_item.expression) for order_item in order_by]
 
         if limit_hint is not None and 0 <= limit_hint < len(indices):
-            top = self._top_k_order_by(order_by, output_rows, key_value, limit_hint)
+            top = self._top_k_order_by(order_by, output_rows, key_getters, limit_hint)
             if top is not None:
                 return top
             # NaN keys: fall through to the multi-pass sort below, whose
             # NaN placement (timsort with always-False comparisons) a
             # consistent comparator cannot reproduce.
 
-        for order_item in reversed(order_by):
-            keys = {i: key_value(order_item, i) for i in indices}
+        for order_item, key_of in reversed(list(zip(order_by, key_getters))):
+            keys = {i: key_of(i) for i in indices}
             non_null = [i for i in indices if keys[i] is not None]
             nulls = [i for i in indices if keys[i] is None]
             non_null.sort(key=lambda i: hashable_key(keys[i]), reverse=not order_item.ascending)
@@ -1123,7 +1092,7 @@ class Executor:
     def _top_k_order_by(
         order_by: List[OrderItem],
         output_rows: List[Tuple[Any, ...]],
-        key_value: Callable[[OrderItem, int], Any],
+        key_getters: List[Callable[[int], Any]],
         limit: int,
     ) -> Optional[List[Tuple[Any, ...]]]:
         """``ORDER BY ... LIMIT k`` short-circuit: bounded heap selection.
@@ -1143,8 +1112,7 @@ class Executor:
         """
         count = len(output_rows)
         keys_per_item = [
-            [key_value(order_item, index) for index in range(count)]
-            for order_item in order_by
+            [key_of(index) for index in range(count)] for key_of in key_getters
         ]
         for keys in keys_per_item:
             for value in keys:
@@ -1177,25 +1145,20 @@ class Executor:
         select_items: List[SelectItem],
         aggregate_calls: List[FunctionCall],
         relation: _Relation,
-        contexts,
         parameters,
         stats: ExecutionStats,
-        env: Optional[tuple] = None,
+        env: _CompileEnv,
         limit_hint: Optional[int] = None,
     ) -> List[Tuple[Any, ...]]:
         aggregates = self._aggregate_registry()
 
         # Compile each aggregate call's plan once per query (not per group):
         # definition, reusable aggregator, compiled argument closures.
-        use_batch = getattr(self.database, "compiled_execution", True)
-        call_plans: List[Tuple[FunctionCall, AggregateDefinition, SegmentedAggregator, Optional[list]]] = []
+        use_batch = self.database.compiled_execution
+        call_plans: List[Tuple[FunctionCall, AggregateDefinition, SegmentedAggregator, list]] = []
         for call in aggregate_calls:
             definition = aggregates[call.name.lower()]
-            argument_fns = None
-            if not call.star and env is not None:
-                compiled = [self._compile(arg, env) for arg in call.args]
-                if all(fn is not None for fn in compiled):
-                    argument_fns = compiled
+            argument_fns = [self._compile(arg, env) for arg in call.args]
             call_plans.append(
                 (call, definition, SegmentedAggregator(definition, use_batch=use_batch), argument_fns)
             )
@@ -1203,38 +1166,41 @@ class Executor:
         # Phase-one grouping: the worker pool when the statement qualifies
         # (two-phase per-segment hash tables), in-process otherwise.  Both
         # produce the same structure: (key, representative row index or None,
-        # {aggregate placeholder: value}) in global first-appearance order.
+        # [aggregate value per call]) in global first-appearance order.
         group_results = self._parallel_grouped(statement, call_plans, relation, parameters, stats, env)
         if group_results is None:
-            group_results = self._inprocess_grouped(
-                statement, call_plans, relation, contexts, parameters, stats, env
-            )
+            group_results = self._inprocess_grouped(statement, call_plans, relation, stats, env)
+
+        # HAVING, the select list and ORDER BY run over one row per group:
+        # the representative's columns, then one slot per aggregate call.
+        # Only an ungrouped aggregate over no rows lacks a representative,
+        # and then its expressions see no columns at all.
+        rows = relation.rows
+        group_env = self._slotted_env(
+            relation.columns if rows else [], parameters, aggregate_calls
+        )
+        having = (
+            self._compile(statement.having, group_env)
+            if statement.having is not None
+            else None
+        )
+        item_fns = [self._compile(item.expression, group_env) for item in select_items]
 
         output_rows: List[Tuple[Any, ...]] = []
-        group_contexts: List[RowContext] = []
+        group_rows: List[Tuple[Any, ...]] = []
         for _key, representative, aggregate_values in group_results:
+            group_row = tuple(aggregate_values)
             if representative is not None:
-                base_context = contexts[representative]
-            else:
-                base_context = RowContext({}, self._function_registry(), parameters)
-            group_context = base_context.with_values(aggregate_values)
-            if statement.having is not None:
-                if statement.having.evaluate(group_context) is not True:
-                    continue
-            output_rows.append(
-                tuple(item.expression.evaluate(group_context) for item in select_items)
-            )
-            group_contexts.append(group_context)
+                group_row = rows[representative] + group_row
+            if having is not None and having(group_row) is not True:
+                continue
+            output_rows.append(tuple(fn(group_row) for fn in item_fns))
+            group_rows.append(group_row)
 
         if statement.order_by:
             output_names = [self._output_name(item, i) for i, item in enumerate(select_items)]
             output_rows = self._apply_order_by(
-                statement.order_by,
-                select_items,
-                output_names,
-                group_contexts,
-                output_rows,
-                limit_hint=limit_hint,
+                statement.order_by, output_names, output_rows, group_rows, group_env, limit_hint
             )
         return output_rows
 
@@ -1243,37 +1209,23 @@ class Executor:
         statement: SelectStatement,
         call_plans: List[tuple],
         relation: _Relation,
-        contexts,
-        parameters,
         stats: ExecutionStats,
-        env: Optional[tuple],
-    ) -> List[Tuple[Any, Optional[int], Dict[str, Any]]]:
+        env: _CompileEnv,
+    ) -> List[Tuple[Any, Optional[int], List[Any]]]:
         """Coordinator-side grouping and per-group aggregation."""
         groups: Dict[Any, List[int]] = {}
         group_order: List[Any] = []
         if statement.group_by:
             key_fns = [self._compile(expression, env) for expression in statement.group_by]
-            if all(fn is not None for fn in key_fns):
-                for index, row in enumerate(relation.rows):
-                    key = tuple(hashable_key(fn(row)) for fn in key_fns)
-                    if key not in groups:
-                        groups[key] = []
-                        group_order.append(key)
-                    groups[key].append(index)
-            else:
-                for index in range(len(contexts)):
-                    ctx = contexts[index]
-                    key = tuple(
-                        hashable_key(expression.evaluate(ctx))
-                        for expression in statement.group_by
-                    )
-                    if key not in groups:
-                        groups[key] = []
-                        group_order.append(key)
-                    groups[key].append(index)
+            for index, row in enumerate(relation.rows):
+                key = tuple(hashable_key(fn(row)) for fn in key_fns)
+                if key not in groups:
+                    groups[key] = []
+                    group_order.append(key)
+                groups[key].append(index)
         else:
             key = ()
-            groups[key] = list(range(len(contexts)))
+            groups[key] = list(range(len(relation.rows)))
             group_order.append(key)
 
         single_group = len(groups) == 1 and not statement.group_by
@@ -1285,15 +1237,15 @@ class Executor:
             AggregateTimings(aggregate_name=definition.name)
             for _call, definition, _aggregator, _argument_fns in call_plans
         ]
-        results: List[Tuple[Any, Optional[int], Dict[str, Any]]] = []
+        results: List[Tuple[Any, Optional[int], List[Any]]] = []
         for key in group_order:
             member_indices = groups[key]
-            aggregate_values: Dict[str, Any] = {}
+            aggregate_values: List[Any] = []
             for position, (call, definition, aggregator, argument_fns) in enumerate(call_plans):
                 value, timings = self._run_aggregate(
-                    call, definition, aggregator, argument_fns, member_indices, relation, contexts, env
+                    call, definition, aggregator, argument_fns, member_indices, relation, env
                 )
-                aggregate_values[f"__agg_{id(call)}"] = value
+                aggregate_values.append(value)
                 if single_group:
                     stats.aggregate_timings.append(timings)
                 else:
@@ -1311,8 +1263,8 @@ class Executor:
         relation: _Relation,
         parameters,
         stats: ExecutionStats,
-        env: Optional[tuple],
-    ) -> Optional[List[Tuple[Any, Optional[int], Dict[str, Any]]]]:
+        env: _CompileEnv,
+    ) -> Optional[List[Tuple[Any, Optional[int], List[Any]]]]:
         """Two-phase grouped aggregation on the worker pool, or None.
 
         Phase one runs in the workers: one task per segment builds a partial
@@ -1336,7 +1288,7 @@ class Executor:
         if (
             pool is None
             or not database.parallel_aggregation
-            or env is None
+            or not database.compiled_execution
             or not statement.group_by
             or not call_plans
             or relation.num_segments <= 1
@@ -1349,15 +1301,15 @@ class Executor:
 
         # Keys and aggregate arguments must compile against the *guarded*
         # registry (genuine builtins only) so workers reproduce them exactly.
-        layout, _functions, _parameters, aggregate_names = env
-        guarded = guarded_function_registry(self._function_registry())
+        layout, aggregate_names = env.layout, env.aggregate_names
+        guarded = guarded_function_registry(env.functions)
         key_fns = [
             compile_expression(expression, layout, guarded, parameters, aggregate_names)
             for expression in statement.group_by
         ]
         if any(fn is None for fn in key_fns):
             return None
-        use_batch = getattr(database, "compiled_execution", True)
+        use_batch = database.compiled_execution
         agg_entries: List[tuple] = []
         for call, definition, _aggregator, _argument_fns in call_plans:
             spec = shippable_spec(definition, use_batch)
@@ -1405,7 +1357,7 @@ class Executor:
         try:
             outcome = pool.run_grouped(
                 tuple(statement.group_by),
-                relation.context_keys(),
+                env.keys_per_column,
                 agg_entries,
                 parameters,
                 segment_rows,
@@ -1447,12 +1399,12 @@ class Executor:
                     for state_list, state in zip(known, states):
                         state_list.append(state)
 
-        results: List[Tuple[Any, Optional[int], Dict[str, Any]]] = [
-            (key, representative[key], {}) for key in group_order
+        results: List[Tuple[Any, Optional[int], List[Any]]] = [
+            (key, representative[key], []) for key in group_order
         ]
         wall_share = wall / max(len(call_plans), 1)
         rows_per_segment = [len(batch) for batch in segment_rows]
-        for position, (call, definition, aggregator, _argument_fns) in enumerate(call_plans):
+        for position, (_call, definition, aggregator, _argument_fns) in enumerate(call_plans):
             timings = AggregateTimings(aggregate_name=definition.name)
             timings.per_segment_seconds = [seconds[position] for seconds in agg_seconds]
             if position == 0:
@@ -1467,7 +1419,6 @@ class Executor:
             timings.num_workers = pool.num_workers
             timings.num_groups = len(group_order)
             timings.grouped_dispatch = True
-            agg_key = f"__agg_{id(call)}"
             start = time.perf_counter()
             merged = {
                 key: aggregator.runner.merge_states(partial_states[key][position])
@@ -1476,7 +1427,7 @@ class Executor:
             timings.merge_seconds = time.perf_counter() - start
             start = time.perf_counter()
             for key, _representative, values in results:
-                values[agg_key] = definition.finalize(merged[key])
+                values.append(definition.finalize(merged[key]))
             timings.final_seconds = time.perf_counter() - start
             stats.aggregate_timings.append(timings)
         return results
@@ -1486,7 +1437,7 @@ class Executor:
         call: FunctionCall,
         member_indices: List[int],
         relation: _Relation,
-        env: Optional[tuple],
+        env: _CompileEnv,
     ) -> Optional[List[ColumnBatch]]:
         """Per-segment argument columns sliced from the table's columnar view.
 
@@ -1498,12 +1449,12 @@ class Executor:
         table = relation.source_table
         if (
             table is None
-            or env is None
+            or not self.database.compiled_execution
             or call.distinct
             or len(member_indices) != len(relation.rows)
         ):
             return None
-        layout: ColumnLayout = env[0]
+        layout = env.layout
         if call.star:
             argument_indices: List[int] = []
         else:
@@ -1545,11 +1496,10 @@ class Executor:
         call: FunctionCall,
         definition: AggregateDefinition,
         aggregator: SegmentedAggregator,
-        argument_fns: Optional[list],
+        argument_fns: List[RowFunction],
         member_indices: List[int],
         relation: _Relation,
-        contexts,
-        env: Optional[tuple] = None,
+        env: _CompileEnv,
     ) -> Tuple[Any, AggregateTimings]:
         force_serial = not definition.supports_parallel or not self.database.parallel_aggregation
         # The worker pool (real parallel execution) engages only where the
@@ -1562,8 +1512,8 @@ class Executor:
         if segment_streams is not None:
             return aggregator.run(segment_streams, force_serial=force_serial, pool=pool)
 
-        # Build per-segment argument streams row by row, through the
-        # pre-compiled argument closures when available, contexts otherwise.
+        # Build per-segment argument streams row by row through the
+        # pre-compiled argument functions.
         streams: Dict[int, List[Tuple[Any, ...]]] = {}
         segment_ids = relation.segment_ids
         rows = relation.rows
@@ -1571,12 +1521,9 @@ class Executor:
             segment = segment_ids[index] if index < len(segment_ids) else 0
             if call.star:
                 arguments: Tuple[Any, ...] = (1,)
-            elif argument_fns is not None:
+            else:
                 row = rows[index]
                 arguments = tuple(fn(row) for fn in argument_fns)
-            else:
-                ctx = contexts[index]
-                arguments = tuple(arg.evaluate(ctx) for arg in call.args)
             streams.setdefault(segment, []).append(arguments)
         if call.distinct:
             seen = set()
@@ -1671,15 +1618,14 @@ class Executor:
 
     def _execute_insert(self, statement: InsertStatement, parameters) -> ResultSet:
         table = self._require_base_table(statement.table, "INSERT into")
-        functions = self._function_registry()
-        context = RowContext({}, functions, parameters)
         rows: List[List[Any]] = []
         if statement.select is not None:
             result = self.execute(statement.select, parameters)
             rows = [list(row) for row in result.rows]
         else:
+            env = self._compiler_env([], parameters)
             for value_row in statement.values_rows:
-                rows.append([expression.evaluate(context) for expression in value_row])
+                rows.append([self._compile(expression, env)(()) for expression in value_row])
         if statement.columns:
             name_to_position = {name.lower(): i for i, name in enumerate(statement.columns)}
             full_rows = []
@@ -1709,14 +1655,37 @@ class Executor:
             )
         return ResultSet([], [], rowcount=count, stats=stats)
 
+    def _table_env(self, table: Table, parameters) -> _CompileEnv:
+        """Env over ``table``'s stored rows, named as ``FROM table`` names them."""
+        return self._compiler_env(self._table_columns(TableRef(table.name), table), parameters)
+
+    def _match_masks(self, table: Table, where: Expression, env: _CompileEnv):
+        """One WHERE match bitmap per segment off the packed columns, or None.
+
+        ``None`` (row storage, reference tier, compile decline, or a runtime
+        abort on any segment) sends the caller to the per-row predicate.
+        """
+        if not table.columnar or not self.database.compiled_execution:
+            return None
+        vector = compile_predicate_vector(
+            where, env.layout, [column.sql_type for column in table.schema], env.parameters
+        )
+        if vector is None:
+            return None
+        masks = []
+        for segment in range(table.num_segments):
+            mask = vector.mask(table.column_store(segment))
+            if mask is None:
+                return None
+            masks.append(mask)
+        return masks
+
     def _execute_update(self, statement: UpdateStatement, parameters) -> ResultSet:
-        """UPDATE through the compiled-predicate path, rewriting in place.
+        """UPDATE, rewriting matched rows in place.
 
         The WHERE predicate and each assignment expression compile once per
         statement against the table's column layout and run over positional
-        row tuples; any uncompilable expression falls back to its interpreted
-        evaluation against a lazily built ``RowContext`` — per expression,
-        so one odd assignment does not de-optimize the whole statement.
+        row tuples.
 
         The rewrite is bitmap-aware: only *matched* positions are written,
         per segment (``Table.update_rows_in_place``), so an UPDATE touching
@@ -1727,82 +1696,47 @@ class Executor:
         packed columns with no per-row predicate calls.
         """
         table = self._require_base_table(statement.table, "UPDATE")
-        relation = self._scan_table(TableRef(statement.table))
-        env = self._compiler_env(relation, parameters)
-        contexts = self._lazy_contexts(relation, parameters)
-        predicate = self._compile(statement.where, env)
-        # Vectorized WHERE: one match bitmap per segment straight off the
-        # packed columns.  Scan order is segment order (``_scan_table``), so
-        # per-segment positions and the relation's row indices line up.
-        segment_masks = None
-        if (
-            statement.where is not None
-            and table.columnar
-            and getattr(self.database, "compiled_execution", True)
-        ):
-            vector = compile_predicate_vector(
-                statement.where,
-                ColumnLayout(relation.context_keys()),
-                [column.sql_type for column in table.schema],
-                parameters,
-            )
-            if vector is not None:
-                masks = []
-                for segment in range(table.num_segments):
-                    mask = vector.mask(table.column_store(segment))
-                    if mask is None:
-                        masks = None
-                        break
-                    masks.append(mask)
-                segment_masks = masks
+        env = self._table_env(table, parameters)
+        segment_masks = predicate = None
+        if statement.where is not None:
+            segment_masks = self._match_masks(table, statement.where, env)
+            if segment_masks is None:
+                predicate = self._compile(statement.where, env)
         assignments = [
-            (table.schema.index_of(name), expression, self._compile(expression, env))
+            (table.schema.index_of(name), self._compile(expression, env))
             for name, expression in statement.assignments
         ]
-        changed_columns = [position for position, _, _ in assignments]
+        changed_columns = [position for position, _ in assignments]
         column_types = [column.sql_type for column in table.schema]
-        rows_scanned = len(relation.rows)
+        rows_scanned = len(table)
         updates: List[Tuple[List[int], List[Tuple[Any, ...]]]] = []
         updated = 0
-        offset = 0  # the segment's start index within the relation's rows
         for segment in range(table.num_segments):
             segment_rows = table.segment_view(segment)
             if segment_masks is not None:
                 positions = np.flatnonzero(segment_masks[segment]).tolist()
-            elif statement.where is None:
+            elif predicate is None:  # no WHERE: every row matches
                 positions = list(range(len(segment_rows)))
-            elif predicate is not None:
+            else:
                 positions = [
                     position
                     for position, row in enumerate(segment_rows)
                     if predicate(row) is True
                 ]
-            else:
-                positions = [
-                    position
-                    for position in range(len(segment_rows))
-                    if statement.where.evaluate(contexts[offset + position]) is True
-                ]
             new_rows: List[Tuple[Any, ...]] = []
             for position in positions:
                 row = segment_rows[position]
                 new_row = list(row)
-                for column_index, expression, compiled in assignments:
-                    value = (
-                        compiled(row)
-                        if compiled is not None
-                        else expression.evaluate(contexts[offset + position])
-                    )
+                for column_index, value_fn in assignments:
                     # The full-replace path coerced on reinsert; coerce the
                     # assigned values up front so the in-place write stores
                     # exactly what a reinsert would have.
                     new_row[column_index] = coerce_value(
-                        value, column_types[column_index]
+                        value_fn(row), column_types[column_index]
                     )
                 new_rows.append(tuple(new_row))
             updates.append((positions, new_rows))
             updated += len(new_rows)
-            offset += len(segment_rows)
         table.update_rows_in_place(updates, changed_columns)
         stats = ExecutionStats(
             statement_kind="update",
@@ -1822,68 +1756,26 @@ class Executor:
             table.truncate()
             return ResultSet([], [], rowcount=count)
         rows_scanned = len(table)
-
-        # Compiled paths run over bare column names only — mirroring the
-        # interpreted row-dict below, which never exposes qualified names —
-        # so all tiers resolve (and fail to resolve) identically.
-        layout = ColumnLayout([[name.lower()] for name in table.schema.names])
-
-        # Bitmap DELETE: evaluate the WHERE over the packed columns per
-        # segment and hand the table the *complement* positions to keep — no
-        # row tuples, no per-row predicate calls, one index remap per
-        # segment.  Any decline/abort falls through to the row paths below.
-        if table.columnar and getattr(self.database, "compiled_execution", True):
-            vector = compile_predicate_vector(
-                statement.where,
-                layout,
-                [column.sql_type for column in table.schema],
-                parameters,
-            )
-            if vector is not None:
-                kept_per_segment = []
-                for segment in range(table.num_segments):
-                    mask = vector.mask(table.column_store(segment))
-                    if mask is None:
-                        kept_per_segment = None
-                        break
-                    kept_per_segment.append(np.flatnonzero(~mask).tolist())
-                if kept_per_segment is not None:
-                    count = table.keep_segment_positions(kept_per_segment)
-                    stats = ExecutionStats(
-                        statement_kind="delete",
-                        rows_scanned=rows_scanned,
-                        rows_matched=count,
-                        rows_scanned_per_source=[rows_scanned],
-                        where_vectorized=True,
-                        bitmap_selectivity=(
-                            count / rows_scanned if rows_scanned else 0.0
-                        ),
-                    )
-                    return ResultSet([], [], rowcount=count, stats=stats)
-
-        compiled = None
-        if getattr(self.database, "compiled_execution", True):
-            compiled = compile_expression(
-                statement.where, layout, self._function_registry(), parameters
-            )
-        if compiled is not None:
-            count = table.delete_where_rows(lambda row: compiled(row) is True)
-        else:
-            functions = self._function_registry()
-
-            def predicate(row_dict: Dict[str, Any]) -> bool:
-                context = RowContext(
-                    {key.lower(): value for key, value in row_dict.items()}, functions, parameters
-                )
-                return statement.where.evaluate(context) is True
-
-            count = table.delete_where(predicate)
+        env = self._table_env(table, parameters)
         stats = ExecutionStats(
             statement_kind="delete",
             rows_scanned=rows_scanned,
-            rows_matched=count,
             rows_scanned_per_source=[rows_scanned],
         )
+        # Bitmap DELETE: hand the table the *complement* positions to keep —
+        # no row tuples, no per-row predicate calls, one index remap per
+        # segment.
+        segment_masks = self._match_masks(table, statement.where, env)
+        if segment_masks is not None:
+            count = table.keep_segment_positions(
+                [np.flatnonzero(~mask).tolist() for mask in segment_masks]
+            )
+            stats.where_vectorized = True
+            stats.bitmap_selectivity = count / rows_scanned if rows_scanned else 0.0
+        else:
+            predicate = self._compile(statement.where, env)
+            count = table.delete_where_rows(lambda row: predicate(row) is True)
+        stats.rows_matched = count
         return ResultSet([], [], rowcount=count, stats=stats)
 
     def _execute_drop(self, statement: DropTableStatement) -> ResultSet:

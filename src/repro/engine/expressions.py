@@ -7,6 +7,14 @@ catalog's function registry; aggregate calls are *not* evaluated here — the
 executor replaces them with pre-computed values (see
 :mod:`repro.engine.executor`), which mirrors how a database separates scalar
 expression evaluation from aggregation.
+
+``Expression.evaluate`` is the engine's *reference evaluator*.  The executor
+never calls it directly: :func:`interpreted_row_function` adapts it to the
+positional-row ``fn(row)`` shape every evaluation site uses, and
+``Executor._compile`` hands that adapter out only when the closure compiler
+(:mod:`repro.engine.compile`) declines a malformed statement — so the
+statement raises this module's errors on the first row it evaluates — or when
+``Database(compiled_execution=False)`` selects the reference tier.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ __all__ = [
     "IsNull",
     "Between",
     "RowContext",
+    "interpreted_row_function",
     "like_match",
     "like_regex",
 ]
@@ -74,8 +83,9 @@ class RowContext:
     """Evaluation context: one row's values plus the function registry.
 
     Column values are looked up first by qualified name (``alias.column``)
-    then by bare column name.  Aggregate results computed by the executor are
-    injected under synthetic keys via :meth:`with_values`.
+    then by bare column name.  Aggregate and window results computed by the
+    executor arrive in ``placeholders``, keyed by the ``id`` of the call node
+    they stand in for.
     """
 
     def __init__(
@@ -83,15 +93,12 @@ class RowContext:
         values: Dict[str, Any],
         functions: Optional[Dict[str, Callable[..., Any]]] = None,
         parameters: Optional[Dict[str, Any]] = None,
+        placeholders: Optional[Dict[int, Any]] = None,
     ) -> None:
         self.values = values
         self.functions = functions or {}
         self.parameters = parameters or {}
-
-    def with_values(self, extra: Dict[str, Any]) -> "RowContext":
-        merged = dict(self.values)
-        merged.update(extra)
-        return RowContext(merged, self.functions, self.parameters)
+        self.placeholders = placeholders or {}
 
     def lookup(self, name: str, qualifier: Optional[str] = None) -> Any:
         if qualifier is not None:
@@ -116,6 +123,38 @@ class RowContext:
         except KeyError:
             raise FunctionError(f"function {name!r} does not exist") from None
         return func(*args)
+
+
+def interpreted_row_function(
+    expression: Expression,
+    keys_per_column: Sequence[Sequence[str]],
+    functions: Optional[Dict[str, Callable[..., Any]]],
+    parameters: Optional[Dict[str, Any]],
+    slots: Optional[Dict[int, int]] = None,
+) -> Callable[[Tuple[Any, ...]], Any]:
+    """The reference evaluator behind the executor's ``fn(row)`` seam.
+
+    Returns a function over one positional row that builds the row's
+    :class:`RowContext` — ``keys_per_column[i]`` are the names column ``i``
+    answers to, ``slots`` maps ``id(call node)`` to the trailing row position
+    holding that aggregate/window call's computed value — and tree-walks
+    :meth:`Expression.evaluate`.  Nothing is resolved ahead of time, so a
+    malformed expression raises on the first row evaluated and never on an
+    empty input.
+    """
+    slot_items = tuple((slots or {}).items())
+
+    def evaluate_row(row: Tuple[Any, ...]) -> Any:
+        values: Dict[str, Any] = {}
+        for keys, value in zip(keys_per_column, row):
+            for key in keys:
+                values[key] = value
+        placeholders = {node_id: row[index] for node_id, index in slot_items}
+        return expression.evaluate(
+            RowContext(values, functions, parameters, placeholders)
+        )
+
+    return evaluate_row
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +388,10 @@ class FunctionCall(Expression):
         return list(self.args)
 
     def evaluate(self, context: RowContext) -> Any:
-        # Aggregate calls are rewritten by the executor to Literal values
-        # keyed into the context; reaching this point means a scalar call.
-        key = f"__agg_{id(self)}"
-        if key in context.values:
-            return context.values[key]
+        # An aggregate call the executor already computed arrives as a
+        # placeholder; anything else reaching this point is a scalar call.
+        if id(self) in context.placeholders:
+            return context.placeholders[id(self)]
         argument_values = [arg.evaluate(context) for arg in self.args]
         return context.call(self.name, argument_values)
 
@@ -378,9 +416,8 @@ class WindowCall(Expression):
         return children
 
     def evaluate(self, context: RowContext) -> Any:
-        key = f"__win_{id(self)}"
-        if key in context.values:
-            return context.values[key]
+        if id(self) in context.placeholders:
+            return context.placeholders[id(self)]
         raise ExecutionError(
             "window function evaluated outside of a windowed query context"
         )

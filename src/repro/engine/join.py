@@ -172,8 +172,8 @@ def classify_where_conjuncts(
     of ``(source_a, expr_a, source_b, expr_b)`` cross-source equality pairs,
     and ``residual`` holds everything else (evaluated post-join, which is
     equivalent for the inner semantics of a comma FROM list).  ``None`` means
-    pushdown is unsafe — an unresolvable or ambiguous name (the interpreted
-    path must raise its error), or a volatile/unknown function whose
+    pushdown is unsafe — an unresolvable or ambiguous name (evaluating the
+    WHERE must raise its error), or a volatile/unknown function whose
     evaluation count must not change.
     """
     if has_unshippable_calls(where, functions):
@@ -323,7 +323,7 @@ def plan_hash_join(
     The planner is all-or-nothing: every consumed conjunct (prefilters, key
     pairs) and the residual must compile, the condition may not contain
     volatile or unknown functions, and every column reference must resolve in
-    the combined layout.  Any failure returns ``None`` so the interpreted
+    the combined layout.  Any failure returns ``None`` so the executor's
     nested loop preserves the exact legacy semantics, error messages
     included.
     """

@@ -45,12 +45,12 @@ base table.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CatalogError
 from .aggregates import AggregateDefinition, AggregateRunner
-from .expressions import Expression, FunctionCall, Parameter, RowContext, Star
-from .compile import ColumnLayout, keys_for_columns
+from .compile import RowFunction
+from .expressions import Expression, FunctionCall, Parameter, Star
 from .parser.ast_nodes import (
     SelectItem,
     SelectStatement,
@@ -79,8 +79,8 @@ class _Group:
     in base-table scan order — the executor emits groups in first-appearance
     order over the segment-concatenated scan, so sorting groups by this key
     reproduces its output ordering exactly.  ``rep_row`` is that member's
-    stored base row (the representative whose context evaluates the group-by
-    output expressions).  ``states`` holds one state list per aggregate call,
+    stored base row (the representative the group's output expressions are
+    evaluated over).  ``states`` holds one state list per aggregate call,
     each with one entry per base segment, mirroring the executor's segmented
     fold-then-merge.
     """
@@ -99,7 +99,7 @@ class _Group:
 
 
 class _CallSpec:
-    """A planned aggregate call: definition, runner and compiled argument fns."""
+    """A planned aggregate call: definition, runner and argument functions."""
 
     __slots__ = ("call", "definition", "runner", "argument_fns")
 
@@ -107,7 +107,7 @@ class _CallSpec:
         self,
         call: FunctionCall,
         definition: AggregateDefinition,
-        argument_fns: Optional[List[Callable[[tuple], Any]]],
+        argument_fns: List[RowFunction],
     ) -> None:
         self.call = call
         self.definition = definition
@@ -119,35 +119,29 @@ class _CallSpec:
 
 
 class _MaintenancePlan:
-    """Compiled closures for folding base rows, valid for one catalog version."""
+    """Row functions for folding and finalizing, valid for one catalog version.
 
-    __slots__ = (
-        "catalog_version",
-        "keys_per_column",
-        "key_exprs",
-        "key_fns",
-        "where_expr",
-        "where_fn",
-        "call_specs",
-    )
+    ``finalizers`` holds ``(having_fn or None, item_fns)`` over a group row —
+    the representative's columns, then one slot per aggregate call — keyed by
+    whether the group has a representative (an ungrouped view over no rows
+    does not, and its expressions then see no columns at all).
+    """
+
+    __slots__ = ("catalog_version", "key_fns", "where_fn", "call_specs", "finalizers")
 
     def __init__(
         self,
         catalog_version: int,
-        keys_per_column: List[List[str]],
-        key_exprs: List[Expression],
-        key_fns: Optional[List[Callable[[tuple], Any]]],
-        where_expr: Optional[Expression],
-        where_fn: Optional[Callable[[tuple], Any]],
+        key_fns: List[RowFunction],
+        where_fn: Optional[RowFunction],
         call_specs: List[_CallSpec],
+        finalizers: Dict[bool, Tuple[Optional[RowFunction], List[RowFunction]]],
     ) -> None:
         self.catalog_version = catalog_version
-        self.keys_per_column = keys_per_column
-        self.key_exprs = key_exprs
         self.key_fns = key_fns
-        self.where_expr = where_expr
         self.where_fn = where_fn
         self.call_specs = call_specs
+        self.finalizers = finalizers
 
 
 class MaterializedView:
@@ -168,7 +162,7 @@ class MaterializedView:
         self.name = name
         self.sql = sql
         #: The parsed defining query.  Reused verbatim for every recompute and
-        #: finalize so the ``__agg_{id(call)}`` context keys stay stable.
+        #: finalize so the ``id(call)``-keyed aggregate slots stay stable.
         self.statement = statement
         #: Star-expanded select items (incremental strategy only) — the same
         #: :class:`SelectItem` objects every read evaluates.
@@ -342,7 +336,7 @@ def plan_matview(executor, name: str, sql: str, statement: Statement) -> Materia
     if reason is None:
         ref = statement.from_items[0]
         table = executor.catalog.get_table(ref.name)
-        relation_columns = [(ref.effective_alias, col) for col in table.schema.names]
+        relation_columns = executor._table_columns(ref, table)
         items = _expand_items(executor, statement.select_items, relation_columns)
         columns = [executor._output_name(item, i) for i, item in enumerate(items)]
         view = MaterializedView(
@@ -379,11 +373,8 @@ def _expand_items(executor, items, relation_columns) -> List[SelectItem]:
 # ---------------------------------------------------------------- maintenance plan
 
 
-def _base_layout(executor, view: MaterializedView):
-    ref = view.statement.from_items[0]
-    table = executor.catalog.get_table(ref.name)
-    columns = [(ref.effective_alias, col) for col in table.schema.names]
-    return table, columns
+def _base_table(executor, view: MaterializedView):
+    return executor.catalog.get_table(view.statement.from_items[0].name)
 
 
 def _maintenance_plan(executor, view: MaterializedView) -> _MaintenancePlan:
@@ -392,52 +383,42 @@ def _maintenance_plan(executor, view: MaterializedView) -> _MaintenancePlan:
     if plan is not None and plan.catalog_version == catalog_version:
         return plan
     statement = view.statement
-    table, columns = _base_layout(executor, view)
-    keys_per_column = keys_for_columns(columns)
-    env: Optional[tuple] = None
-    if getattr(executor.database, "compiled_execution", True):
-        layout = ColumnLayout(keys_per_column)
-        aggregate_names = frozenset(
-            n.lower() for n in executor.catalog.aggregate_names()
-        )
-        env = (layout, executor._function_registry(), None, aggregate_names)
-
-    def compile_all(expressions):
-        fns = [executor._compile(expression, env) for expression in expressions]
-        return fns if fns and all(fn is not None for fn in fns) else None
-
-    key_exprs = list(statement.group_by)
-    key_fns = compile_all(key_exprs) if key_exprs else None
-    where_fn = executor._compile(statement.where, env)
+    columns = executor._table_columns(statement.from_items[0], _base_table(executor, view))
+    env = executor._compiler_env(columns, None)
     aggregate_sources: List[Expression] = [item.expression for item in view.select_items]
     if statement.having is not None:
         aggregate_sources.append(statement.having)
     calls = executor._collect_aggregate_calls(aggregate_sources)
     aggregates = executor._aggregate_registry()
-    call_specs = []
-    for call in calls:
-        definition = aggregates[call.name.lower()]
-        argument_fns = None if call.star else compile_all(call.args)
-        call_specs.append(_CallSpec(call, definition, argument_fns))
+    call_specs = [
+        _CallSpec(
+            call,
+            aggregates[call.name.lower()],
+            [executor._compile(argument, env) for argument in call.args],
+        )
+        for call in calls
+    ]
+
+    def finalizer(group_columns):
+        group_env = executor._slotted_env(group_columns, None, calls)
+        having_fn = (
+            executor._compile(statement.having, group_env)
+            if statement.having is not None
+            else None
+        )
+        return having_fn, [
+            executor._compile(item.expression, group_env) for item in view.select_items
+        ]
+
     plan = _MaintenancePlan(
         catalog_version,
-        keys_per_column,
-        key_exprs,
-        key_fns,
-        statement.where,
-        where_fn,
+        [executor._compile(expression, env) for expression in statement.group_by],
+        executor._compile(statement.where, env) if statement.where is not None else None,
         call_specs,
+        {True: finalizer(columns), False: finalizer([])},
     )
     view._plan = plan
     return plan
-
-
-def _row_context(keys_per_column, row, functions) -> RowContext:
-    values: Dict[str, Any] = {}
-    for keys, value in zip(keys_per_column, row):
-        for key in keys:
-            values[key] = value
-    return RowContext(values, functions, None)
 
 
 def _absorb_row(
@@ -447,7 +428,6 @@ def _absorb_row(
     segment: int,
     position: int,
     num_segments: int,
-    functions,
 ) -> None:
     """Fold one base row into its group's per-segment states.
 
@@ -455,27 +435,9 @@ def _absorb_row(
     filter, ``hashable_key`` group keys, first-appearance representative, and
     a strict NULL-skipping transition fold per aggregate per segment.
     """
-    context: Optional[RowContext] = None
-    if plan.where_expr is not None:
-        if plan.where_fn is not None:
-            if plan.where_fn(row) is not True:
-                return
-        else:
-            context = _row_context(plan.keys_per_column, row, functions)
-            if plan.where_expr.evaluate(context) is not True:
-                return
-    if plan.key_exprs:
-        if plan.key_fns is not None:
-            key = tuple(hashable_key(fn(row)) for fn in plan.key_fns)
-        else:
-            if context is None:
-                context = _row_context(plan.keys_per_column, row, functions)
-            key = tuple(
-                hashable_key(expression.evaluate(context))
-                for expression in plan.key_exprs
-            )
-    else:
-        key = ()
+    if plan.where_fn is not None and plan.where_fn(row) is not True:
+        return
+    key = tuple(hashable_key(fn(row)) for fn in plan.key_fns)
     order_key = (segment, position)
     group = groups.get(key)
     if group is None:
@@ -491,12 +453,8 @@ def _absorb_row(
     for spec, states in zip(plan.call_specs, group.states):
         if spec.call.star:
             arguments: tuple = (1,)
-        elif spec.argument_fns is not None:
-            arguments = tuple(fn(row) for fn in spec.argument_fns)
         else:
-            if context is None:
-                context = _row_context(plan.keys_per_column, row, functions)
-            arguments = tuple(arg.evaluate(context) for arg in spec.call.args)
+            arguments = tuple(fn(row) for fn in spec.argument_fns)
         if spec.definition.strict and any(is_null(value) for value in arguments):
             continue
         states[segment] = spec.definition.transition(states[segment], *arguments)
@@ -519,9 +477,8 @@ def refresh(executor, view: MaterializedView, stats=None) -> None:
 
 
 def _rebuild_incremental(executor, view: MaterializedView) -> None:
-    table, _ = _base_layout(executor, view)
+    table = _base_table(executor, view)
     plan = _maintenance_plan(executor, view)
-    functions = executor._function_registry()
     groups: Dict[Any, _Group] = {}
     if not view.statement.group_by:
         # The executor always emits one output row for an empty grouped scan.
@@ -531,7 +488,7 @@ def _rebuild_incremental(executor, view: MaterializedView) -> None:
     before_version = table._data_version
     for segment in range(table.num_segments):
         for position, row in enumerate(table.segment_view(segment)):
-            _absorb_row(plan, groups, row, segment, position, table.num_segments, functions)
+            _absorb_row(plan, groups, row, segment, position, table.num_segments)
     view.groups = groups
     view.num_base_segments = table.num_segments
     view.synced_versions = {view.base_table: before_version}
@@ -583,28 +540,22 @@ def read_rows(executor, view: MaterializedView) -> List[tuple]:
 
 def _finalize_incremental(executor, view: MaterializedView) -> List[tuple]:
     plan = _maintenance_plan(executor, view)
-    functions = executor._function_registry()
-    having = view.statement.having
     ordered = sorted(
         view.groups.values(),
         key=lambda group: group.order_key if group.order_key is not None else (-1, -1),
     )
     rows: List[tuple] = []
     for group in ordered:
-        aggregate_values: Dict[str, Any] = {}
-        for spec, states in zip(plan.call_specs, group.states):
-            merged = spec.runner.merge_states(list(states))
-            aggregate_values[f"__agg_{id(spec.call)}"] = spec.definition.finalize(merged)
-        if group.rep_row is not None:
-            base = _row_context(plan.keys_per_column, group.rep_row, functions)
-        else:
-            base = RowContext({}, functions, None)
-        context = base.with_values(aggregate_values)
-        if having is not None and having.evaluate(context) is not True:
-            continue
-        rows.append(
-            tuple(item.expression.evaluate(context) for item in view.select_items)
+        group_row = tuple(
+            spec.definition.finalize(spec.runner.merge_states(list(states)))
+            for spec, states in zip(plan.call_specs, group.states)
         )
+        if group.rep_row is not None:
+            group_row = group.rep_row + group_row
+        having_fn, item_fns = plan.finalizers[group.rep_row is not None]
+        if having_fn is not None and having_fn(group_row) is not True:
+            continue
+        rows.append(tuple(fn(group_row) for fn in item_fns))
     return rows
 
 
@@ -637,7 +588,6 @@ def apply_insert_delta(
     if after_version == before_version:
         return  # nothing inserted
     delta_rows: Optional[List[Tuple[int, int, tuple]]] = None
-    functions = executor._function_registry()
     for view in views:
         with view.lock:
             if view.synced_versions.get(view.base_table) != before_version:
@@ -652,13 +602,7 @@ def apply_insert_delta(
                 plan = _maintenance_plan(executor, view)
                 for segment, position, row in delta_rows:
                     _absorb_row(
-                        plan,
-                        view.groups,
-                        row,
-                        segment,
-                        position,
-                        table.num_segments,
-                        functions,
+                        plan, view.groups, row, segment, position, table.num_segments
                     )
             except Exception:
                 view.force_stale()

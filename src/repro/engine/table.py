@@ -301,23 +301,13 @@ class Table:
         self.truncate()
         return self.insert_many(rows)
 
-    def delete_where(self, predicate) -> int:
-        """Delete rows for which ``predicate(row_dict)`` is true; returns count deleted."""
-        names = self.schema.names
-        return self._delete_segments(lambda row: predicate(dict(zip(names, row))))
-
     def delete_where_rows(self, predicate) -> int:
         """Delete rows for which ``predicate(row_tuple)`` is true; returns count.
 
-        The positional-tuple counterpart of :meth:`delete_where`, used by the
-        compiled DML path: the executor hands a predicate closure compiled
-        against the schema's column layout, so no per-row dict is built.
-        Rows stay on their segments — deletion never rehashes.
+        The executor hands a predicate compiled against the schema's column
+        layout.  Rows stay on their segments — deletion never rehashes —
+        and indexes remap surviving positions.
         """
-        return self._delete_segments(predicate)
-
-    def _delete_segments(self, predicate) -> int:
-        """Shared per-segment deletion; indexes remap surviving positions."""
         deleted = 0
         for segment_index in range(self.num_segments):
             rows = self.segment_view(segment_index)

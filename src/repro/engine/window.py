@@ -11,52 +11,54 @@ offset functions ``row_number``, ``rank``, ``dense_rank``, ``lag`` and
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..errors import ExecutionError
 from .aggregates import AggregateDefinition, AggregateRunner
-from .expressions import RowContext, WindowCall
+from .compile import RowFunction
+from .expressions import Expression, WindowCall
 from .types import hashable_key, is_null
 
 __all__ = ["compute_window_values", "RANKING_FUNCTIONS"]
 
 RANKING_FUNCTIONS = {"row_number", "rank", "dense_rank", "lag", "lead", "first_value", "last_value"}
 
+Row = Tuple[Any, ...]
+
 
 def _sort_partition(
     partition: List[int],
-    rows: Sequence[RowContext],
-    order_by: Sequence[Tuple[Any, bool]],
+    rows: Sequence[Row],
+    order_by: Sequence[Tuple[RowFunction, bool]],
 ) -> List[int]:
     if not order_by:
         return partition
     ordered = list(partition)
     # Stable sorts applied from the least-significant key to the most.
-    for expression, ascending in reversed(list(order_by)):
-        keys = {index: expression.evaluate(rows[index]) for index in ordered}
+    for key_fn, ascending in reversed(order_by):
+        keys = {index: key_fn(rows[index]) for index in ordered}
         ordered.sort(key=lambda index: (keys[index] is None, keys[index]), reverse=not ascending)
     return ordered
 
 
 def _evaluate_ranking(
-    call: WindowCall,
+    name: str,
     ordered: List[int],
-    rows: Sequence[RowContext],
+    rows: Sequence[Row],
+    order_by: Sequence[Tuple[RowFunction, bool]],
+    arg_fns: Sequence[RowFunction],
 ) -> Dict[int, Any]:
-    name = call.function.name.lower()
-    args = call.function.args
     results: Dict[int, Any] = {}
     if name == "row_number":
         for rank, index in enumerate(ordered, start=1):
             results[index] = rank
         return results
     if name in ("rank", "dense_rank"):
-        order_by = call.spec.order_by
         previous_key = object()
         rank = 0
         dense = 0
         for position, index in enumerate(ordered, start=1):
-            key = tuple(hashable_key(expr.evaluate(rows[index])) for expr, _ in order_by)
+            key = tuple(hashable_key(key_fn(rows[index])) for key_fn, _ in order_by)
             if key != previous_key:
                 dense += 1
                 rank = position
@@ -66,15 +68,15 @@ def _evaluate_ranking(
     if name in ("lag", "lead"):
         offset = 1
         default = None
-        if len(args) >= 2:
-            offset = int(args[1].evaluate(rows[ordered[0]])) if ordered else 1
-        if len(args) >= 3 and ordered:
-            default = args[2].evaluate(rows[ordered[0]])
+        if len(arg_fns) >= 2:
+            offset = int(arg_fns[1](rows[ordered[0]])) if ordered else 1
+        if len(arg_fns) >= 3 and ordered:
+            default = arg_fns[2](rows[ordered[0]])
         step = -offset if name == "lag" else offset
         for position, index in enumerate(ordered):
             source = position + step
             if 0 <= source < len(ordered):
-                results[index] = args[0].evaluate(rows[ordered[source]])
+                results[index] = arg_fns[0](rows[ordered[source]])
             else:
                 results[index] = default
         return results
@@ -82,7 +84,7 @@ def _evaluate_ranking(
         if not ordered:
             return results
         target = ordered[0] if name == "first_value" else ordered[-1]
-        value = args[0].evaluate(rows[target])
+        value = arg_fns[0](rows[target])
         for index in ordered:
             results[index] = value
         return results
@@ -92,21 +94,21 @@ def _evaluate_ranking(
 def _evaluate_window_aggregate(
     call: WindowCall,
     ordered: List[int],
-    rows: Sequence[RowContext],
+    rows: Sequence[Row],
+    arg_fns: Sequence[RowFunction],
     aggregate: AggregateDefinition,
 ) -> Dict[int, Any]:
     runner = AggregateRunner(aggregate)
     results: Dict[int, Any] = {}
-    args = call.function.args
     running = bool(call.spec.order_by)
+
+    def arguments(index: int) -> Tuple[Any, ...]:
+        if call.function.star:
+            return (1,)
+        return tuple(fn(rows[index]) for fn in arg_fns)
+
     if not running:
-        argument_rows = []
-        for index in ordered:
-            if call.function.star:
-                argument_rows.append((1,))
-            else:
-                argument_rows.append(tuple(arg.evaluate(rows[index]) for arg in args))
-        value = runner.run(argument_rows)
+        value = runner.run([arguments(index) for index in ordered])
         for index in ordered:
             results[index] = value
         return results
@@ -114,10 +116,7 @@ def _evaluate_window_aggregate(
     # across rows (the paper's "stateful iteration" pattern).
     state = aggregate.make_state()
     for index in ordered:
-        if call.function.star:
-            argument_values: Tuple[Any, ...] = (1,)
-        else:
-            argument_values = tuple(arg.evaluate(rows[index]) for arg in args)
+        argument_values = arguments(index)
         if not (aggregate.strict and any(is_null(v) for v in argument_values)):
             state = aggregate.transition(state, *argument_values)
         results[index] = aggregate.finalize(_copy_state(state))
@@ -136,31 +135,36 @@ def _copy_state(state: Any) -> Any:
 
 def compute_window_values(
     window_calls: Sequence[WindowCall],
-    rows: Sequence[RowContext],
+    rows: Sequence[Row],
     aggregates: Dict[str, AggregateDefinition],
-) -> List[Dict[str, Any]]:
+    compile_fn: Callable[[Expression], RowFunction],
+) -> List[Tuple[Any, ...]]:
     """Compute every window call for every row.
 
-    Returns one dict per row mapping the synthetic key ``__win_<id>`` (the key
-    :class:`WindowCall` looks up during evaluation) to the computed value.
+    ``rows`` are positional tuples and ``compile_fn`` turns a partition key,
+    order key or argument expression into a function over one of them (the
+    executor's ``_compile`` seam).  Returns, per row, one value per window
+    call in ``window_calls`` order — the executor appends them to the row,
+    where the enclosing expressions read them back by position.
     """
-    per_row: List[Dict[str, Any]] = [{} for _ in rows]
-    for call in window_calls:
-        # Partition rows.
+    per_row: List[List[Any]] = [[None] * len(window_calls) for _ in rows]
+    for slot, call in enumerate(window_calls):
+        partition_fns = [compile_fn(expr) for expr in call.spec.partition_by]
+        order_by = [(compile_fn(expr), ascending) for expr, ascending in call.spec.order_by]
+        arg_fns = [compile_fn(arg) for arg in call.function.args]
         partitions: Dict[Any, List[int]] = {}
         for index, row in enumerate(rows):
-            key = tuple(hashable_key(expr.evaluate(row)) for expr in call.spec.partition_by)
+            key = tuple(hashable_key(fn(row)) for fn in partition_fns)
             partitions.setdefault(key, []).append(index)
         name = call.function.name.lower()
         for partition in partitions.values():
-            ordered = _sort_partition(partition, rows, call.spec.order_by)
+            ordered = _sort_partition(partition, rows, order_by)
             if name in RANKING_FUNCTIONS:
-                values = _evaluate_ranking(call, ordered, rows)
+                values = _evaluate_ranking(name, ordered, rows, order_by, arg_fns)
             elif name in aggregates:
-                values = _evaluate_window_aggregate(call, ordered, rows, aggregates[name])
+                values = _evaluate_window_aggregate(call, ordered, rows, arg_fns, aggregates[name])
             else:
                 raise ExecutionError(f"unknown window function {name!r}")
-            key = f"__win_{id(call)}"
             for index, value in values.items():
-                per_row[index][key] = value
-    return per_row
+                per_row[index][slot] = value
+    return [tuple(values) for values in per_row]

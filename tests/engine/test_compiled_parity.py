@@ -1,12 +1,15 @@
-"""Compiled/vectorized vs interpreted execution parity.
+"""Compiled closures vs the reference evaluator: value and error parity.
 
-The engine has two execution tiers (``docs/engine-execution.md``): the
-compiled fast path (positional-row closures + batched aggregate transitions)
-and the interpreted row-at-a-time fallback.  They must be observationally
-identical.  This suite runs a corpus of SELECTs — filters, arithmetic, NULL
-semantics, GROUP BY, segmented aggregates, ORDER BY, CASE, LIKE, casts,
-subscripts — through both tiers and asserts identical results, including
-NULL propagation in comparisons and ``_divide``.
+Every expression the executor evaluates goes through one seam
+(``Executor._compile``, see ``docs/engine-execution.md``) that returns either
+a compiled closure or — under ``Database(compiled_execution=False)`` — the
+reference evaluator's adapter.  The two must be observationally identical.
+This suite runs a corpus of SELECTs — filters, arithmetic, NULL semantics,
+GROUP BY, segmented aggregates, HAVING, ORDER BY, windows, non-equi joins,
+CASE, LIKE, casts, subscripts — through both and asserts identical results,
+including NULL propagation in comparisons and ``_divide``; and a corpus of
+malformed statements at every evaluation site, asserting identical exception
+type and message, raised on the first row evaluated and never on zero rows.
 """
 
 from __future__ import annotations
@@ -94,12 +97,27 @@ CORPUS = [
     "SELECT grp, count(*) FROM t GROUP BY grp HAVING count(*) > 15 ORDER BY grp",
     "SELECT grp, stddev(a) FROM t WHERE a IS NOT NULL GROUP BY grp ORDER BY grp",
     "SELECT id % 4, max(a) FROM t GROUP BY id % 4 ORDER BY 1",
+    "SELECT grp, count(*) AS n, sum(a) AS total FROM t GROUP BY grp "
+    "HAVING sum(a) > 100 AND max(b) >= 1 ORDER BY total DESC, n",
+    "SELECT id % 5 AS bucket, avg(b) AS m FROM t GROUP BY id % 5 "
+    "HAVING count(*) > 1 ORDER BY avg(b) + 1, bucket LIMIT 3",
+    "SELECT upper(grp), count(a) FROM t GROUP BY upper(grp) ORDER BY count(a) DESC, 1",
+    # Window functions: expression partition/order keys and arguments.
+    "SELECT id, sum(a) OVER (PARTITION BY id % 3 ORDER BY id) FROM t ORDER BY id",
+    "SELECT id, row_number() OVER (PARTITION BY upper(grp) ORDER BY a DESC, id), "
+    "lag(a * 2, 1) OVER (PARTITION BY id % 2 ORDER BY id) FROM t ORDER BY id",
+    "SELECT id, rank() OVER (PARTITION BY grp ORDER BY b), count(*) OVER (PARTITION BY b > 0) "
+    "FROM t WHERE b IS NOT NULL ORDER BY id",
+    "SELECT id, avg(a + b) OVER (PARTITION BY grp) AS m FROM t ORDER BY m NULLS LAST, id LIMIT 9",
     # DISTINCT / LIMIT / OFFSET.
     "SELECT DISTINCT grp FROM t ORDER BY grp",
     "SELECT id FROM t ORDER BY a DESC LIMIT 5",
     "SELECT id FROM t ORDER BY b, id LIMIT 7 OFFSET 3",
     # Joins and subqueries (fall back where needed, must still agree).
     "SELECT t1.id, t2.id FROM t t1 JOIN t t2 ON t1.id = t2.id - 1 WHERE t1.id < 5 ORDER BY t1.id",
+    "SELECT t1.id, t2.id FROM t t1 LEFT JOIN t t2 ON t1.id < t2.id AND t2.id < 4 "
+    "WHERE t1.id < 6 ORDER BY t1.id, t2.id NULLS LAST",
+    "SELECT t1.id, count(t2.id) FROM t t1 LEFT JOIN t t2 ON t1.a < t2.b GROUP BY t1.id ORDER BY t1.id",
     "SELECT sub.g, sub.n FROM (SELECT grp AS g, count(*) AS n FROM t GROUP BY grp) sub ORDER BY sub.g",
     "SELECT count(*) FROM generate_series(1, 100) AS gs(n)",
 ]
@@ -167,6 +185,125 @@ def test_parameters_bind_on_both_tiers(db_pair):
     assert compiled_db.query_scalar(query, {"low": 20.0}) == interpreted_db.query_scalar(
         query, {"low": 20.0}
     )
+
+
+# ---------------------------------------------------------------------------
+# Error parity: malformed statements at every evaluation site
+# ---------------------------------------------------------------------------
+
+#: kind -> (bad expression, FROM clause for the SELECT sites).  The bad
+#: expressions name no alias so the DML sites can use them too; an ambiguous
+#: reference needs two sources, which only a SELECT has.
+_BAD = {
+    "unknown_column": ("nosuch", "e x"),
+    "ambiguous_column": ("v", "e x, f y"),
+    "unknown_function": ("nosuchfn(1)", "e x"),
+    "unbound_parameter": ("%(nope)s", "e x"),
+    "unknown_cast_type": ("CAST(1 AS nosuchtype)", "e x"),
+}
+
+_SELECT_SITES = {
+    "where": "SELECT x.id FROM {src} WHERE {bad} > 0",
+    "select_list": "SELECT {bad} FROM {src}",
+    "group_by_key": "SELECT count(*) FROM {src} GROUP BY {bad}",
+    "aggregate_argument": "SELECT sum({bad}) FROM {src} GROUP BY x.g",
+    "having": "SELECT x.g FROM {src} GROUP BY x.g HAVING {bad} > 0",
+    "order_by_groups": "SELECT x.g, count(*) FROM {src} GROUP BY x.g ORDER BY {bad}",
+    "window_partition_key": "SELECT row_number() OVER (PARTITION BY {bad}) FROM {src}",
+    "window_order_key": "SELECT sum(x.id) OVER (ORDER BY {bad}) FROM {src}",
+    "non_equi_join_on": "SELECT 1 FROM {src} JOIN f z ON x.id < {bad}",
+}
+
+_DML_SITES = {
+    "update_set": "UPDATE e SET v = {bad}",
+    "delete_where": "DELETE FROM e WHERE {bad} > 0",
+    "insert_values": "INSERT INTO e VALUES ({bad}, 'a', 1.0)",
+}
+
+_ERROR_CASES = [
+    (f"{site}-{kind}", template.format(bad=bad, src=src))
+    for kind, (bad, src) in _BAD.items()
+    for site, template in _SELECT_SITES.items()
+] + [
+    (f"{site}-{kind}", template.format(bad=bad))
+    for kind, (bad, _src) in _BAD.items()
+    if kind != "ambiguous_column"
+    for site, template in _DML_SITES.items()
+]
+
+
+def _error_pair(populated: bool):
+    pair = []
+    for compiled in (True, False):
+        db = Database(num_segments=2, compiled_execution=compiled)
+        db.execute("CREATE TABLE e (id integer, g text, v double precision)")
+        db.execute("CREATE TABLE f (id integer, v double precision)")
+        if populated:
+            db.execute("INSERT INTO e VALUES (1, 'a', 1.0), (2, 'b', 2.0), (3, 'a', NULL)")
+            db.execute("INSERT INTO f VALUES (1, 1.0), (2, 2.0)")
+        pair.append(db)
+    return pair
+
+
+def _outcome(db, statement):
+    try:
+        result = db.execute(statement)
+    except Exception as exc:  # the assertion below pins the exact type
+        return type(exc), str(exc)
+    return result.rows, result.rowcount
+
+
+@pytest.mark.parametrize("statement", [c[1] for c in _ERROR_CASES], ids=[c[0] for c in _ERROR_CASES])
+def test_malformed_statement_raises_identically_on_both_tiers(statement):
+    from repro.errors import ReproError
+
+    compiled_db, reference_db = _error_pair(populated=True)
+    kind, message = _outcome(compiled_db, statement)
+    assert isinstance(kind, type) and issubclass(kind, ReproError), (statement, kind, message)
+    assert (kind, message) == _outcome(reference_db, statement), statement
+    # The failed statement changed nothing on either tier.
+    query = "SELECT * FROM e ORDER BY id"
+    assert compiled_db.execute(query).rows == reference_db.execute(query).rows
+    assert len(compiled_db.execute(query).rows) == 3
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [c[1] for c in _ERROR_CASES if not c[0].startswith("insert_values")],
+    ids=[c[0] for c in _ERROR_CASES if not c[0].startswith("insert_values")],
+)
+def test_malformed_statement_over_zero_rows_is_not_an_error(statement):
+    """Nothing is resolved ahead of evaluation, so no rows means no error —
+    on both tiers (INSERT VALUES always evaluates its one row)."""
+    compiled_db, reference_db = _error_pair(populated=False)
+    outcome = _outcome(compiled_db, statement)
+    assert outcome == _outcome(reference_db, statement), statement
+    assert outcome in (([], -1), ([], 0)), (statement, outcome)
+
+
+def test_qualified_and_bare_names_agree_across_select_update_delete():
+    """``t.x`` and ``x`` resolve identically in SELECT, UPDATE and DELETE —
+    bitmap and per-row predicates, compiled and reference tiers."""
+    outcomes = set()
+    for compiled in (True, False):
+        for predicate in ("{x} > 2", "abs({x}) > 2"):  # vectorizable / per-row
+            for reference in ("x", "t.x"):
+                where = predicate.format(x=reference)
+                db = Database(num_segments=3, compiled_execution=compiled)
+                db.execute("CREATE TABLE t (x integer, y double precision) DISTRIBUTED BY (x)")
+                db.load_rows("t", [(i, float(i)) for i in range(6)])
+                selected = db.execute(f"SELECT x FROM t WHERE {where} ORDER BY x").rows
+                updated = db.execute(f"UPDATE t SET y = y + t.x WHERE {where}").rowcount
+                after_update = db.execute("SELECT * FROM t ORDER BY x").rows
+                deleted = db.execute(f"DELETE FROM t WHERE {where}").rowcount
+                after_delete = db.execute("SELECT * FROM t ORDER BY x").rows
+                assert selected == [(3,), (4,), (5,)]
+                assert updated == deleted == 3
+                outcomes.add((tuple(after_update), tuple(after_delete)))
+    assert len(outcomes) == 1
+    after_update, after_delete = outcomes.pop()
+    assert after_update[3:] == ((3, 6.0), (4, 8.0), (5, 10.0))
+    assert after_delete == ((0, 0.0), (1, 1.0), (2, 2.0))
 
 
 def test_segmented_linregr_parity():

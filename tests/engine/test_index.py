@@ -239,7 +239,7 @@ def test_dml_maintenance_parity():
     """After every DML step: indexed results == scan results, and every
     incrementally maintained index == a scratch rebuild."""
     indexed = _make_db()
-    scan = _make_db(use_indexes=False)
+    scan = _make_db()
     indexed.execute("CREATE INDEX t_k ON t USING hash (k)")
     indexed.execute("CREATE INDEX t_id ON t (id)")
     indexed.execute("CREATE INDEX t_name ON t (name)")
@@ -283,7 +283,7 @@ def test_redistribute_rebuilds_indexes():
     db.execute("CREATE INDEX t_k ON t USING hash (k)")
     db.set_num_segments(7)
     assert_index_consistent(db, "t_k")
-    baseline = _make_db(use_indexes=False)
+    baseline = _make_db()
     baseline.set_num_segments(7)
     query = "SELECT * FROM t WHERE k = 4 ORDER BY id"
     assert db.execute(query).rows == baseline.execute(query).rows

@@ -106,10 +106,11 @@ class TestTable:
         count = table.replace_rows([(1, [1.0], 1.0)])
         assert count == 1 and len(table) == 1
 
-    def test_delete_where(self):
+    def test_delete_where_rows(self):
         table = Table("t", make_schema(), num_segments=2)
         table.insert_many([(i, [0.0], float(i)) for i in range(10)])
-        deleted = table.delete_where(lambda row: row["y"] >= 5.0)
+        y = table.schema.index_of("y")
+        deleted = table.delete_where_rows(lambda row: row[y] >= 5.0)
         assert deleted == 5
         assert len(table) == 5
 
