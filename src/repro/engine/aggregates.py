@@ -100,17 +100,30 @@ class AggregateRunner:
 
     # -- serial path ---------------------------------------------------------
 
-    def fold(self, argument_rows: Iterable[Sequence[Any]], state: Any = None) -> Any:
-        """Fold the transition function over one stream, returning the state."""
+    def fold(
+        self,
+        argument_rows: Iterable[Sequence[Any]],
+        state: Any = None,
+        *,
+        prefiltered: bool = False,
+    ) -> Any:
+        """Fold the transition function over one stream, returning the state.
+
+        ``prefiltered`` marks rows already known NULL-free, which lets a
+        strict aggregate skip its per-row NULL test.
+        """
         definition = self.definition
         if state is None:
             state = definition.make_state()
         transition = definition.transition
-        strict = definition.strict
-        for args in argument_rows:
-            if strict and any(is_null(arg) for arg in args):
-                continue
-            state = transition(state, *args)
+        if definition.strict and not prefiltered:
+            for args in argument_rows:
+                if any(is_null(arg) for arg in args):
+                    continue
+                state = transition(state, *args)
+        else:
+            for args in argument_rows:
+                state = transition(state, *args)
         return state
 
     def run(self, argument_rows: Iterable[Sequence[Any]]) -> Any:

@@ -619,6 +619,18 @@ class ColumnStore(Sequence):
             return None
         return column.values_array(), column.null_mask()
 
+    def rows_at(self, positions: np.ndarray) -> List[Tuple[Any, ...]]:
+        """Row tuples at ``positions`` only — O(len(positions)).
+
+        Served from the row cache when one is standing (sharing its value
+        objects); never builds it.
+        """
+        if self._rows_cache is not None:
+            return [self._rows_cache[position] for position in positions.tolist()]
+        if not self._columns:
+            return [()] * len(positions)
+        return list(zip(*(gather_positions(column, positions) for column in self._columns)))
+
     def dict_view(self, index: int) -> Optional[Tuple[np.ndarray, List[Any]]]:
         """``(codes, dictionary values)`` for a dictionary-encoded column.
 
@@ -635,16 +647,21 @@ class ColumnStore(Sequence):
 def gather_positions(column: Sequence[Any], positions: np.ndarray) -> List[Any]:
     """Late materialization: the values of ``column`` at ``positions``.
 
-    Packed NULL-free columns gather with one NumPy fancy-index (+``tolist``,
-    which restores genuine Python floats/ints); dictionary columns gather in
-    code space and decode; anything else gathers per-position, preserving
-    ``None``.
+    Packed columns gather with one NumPy fancy-index (+``tolist``, which
+    restores genuine Python floats/ints; stored NULLs are patched back to
+    ``None``); dictionary columns gather in code space and decode; anything
+    else gathers per-position.  ``positions`` need not be ascending.
     """
-    if isinstance(column, TypedColumn) and not column.null_count:
-        return column.values_array()[positions].tolist()
+    if isinstance(column, TypedColumn):
+        values = column.values_array()[positions].tolist()
+        if column.null_count:
+            stored_nulls = np.frombuffer(column.nulls, dtype=np.uint8)[positions]
+            for index in np.flatnonzero(stored_nulls).tolist():
+                values[index] = None
+        return values
     if isinstance(column, DictColumn):
         return column.gather(positions)
-    return [column[int(p)] for p in positions]
+    return [column[p] for p in positions.tolist()]
 
 
 class SelectedRows(Sequence):

@@ -61,6 +61,13 @@ from .compile import (
     compile_predicate_vector,
     keys_for_columns,
 )
+from .grouping import (
+    columnar_top_k,
+    merge_and_finalize,
+    output_position,
+    partitioned_grouped,
+    segment_runs,
+)
 from .join import (
     JoinEstimates,
     apply_prefilter,
@@ -77,12 +84,11 @@ from .planner import (
     explain_statement,
     maybe_auto_analyze,
 )
-from .vectorized import ColumnBatch, ConstantColumn
+from .vectorized import ColumnBatch
 from .expressions import (
     ColumnRef,
     Expression,
     FunctionCall,
-    Literal,
     Star,
     WindowCall,
     interpreted_row_function,
@@ -118,7 +124,7 @@ from .result import ResultSet
 from .schema import Column, Schema
 from .segments import AggregateTimings, ExecutionStats, ScanDetail, SegmentedAggregator
 from .table import Table
-from .types import ANY, SQLType, coerce_value, hashable_key, infer_type, type_from_name
+from .types import ANY, SQLType, coerce_value, hashable_key, infer_type, is_null, type_from_name
 from .window import compute_window_values
 
 __all__ = ["Executor"]
@@ -933,8 +939,10 @@ class Executor:
             segment_selections=selections,
         )
 
-    def _execute_select(self, statement: SelectStatement, parameters) -> ResultSet:
-        stats = ExecutionStats(statement_kind="select")
+    def _filtered_relation(
+        self, statement: SelectStatement, parameters, stats: ExecutionStats
+    ) -> Tuple[_Relation, _CompileEnv]:
+        """FROM and WHERE: the rows the rest of the statement works on."""
         relation = None
         residual_where = statement.where
         chosen = self._choose_single_table_path(statement, parameters)
@@ -974,6 +982,11 @@ class Executor:
         # Rows surviving the WHERE stage — distinct from rows *touched*
         # (``rows_scanned``), which an index scan keeps small.
         stats.rows_matched = len(relation.rows)
+        return relation, env
+
+    def _execute_select(self, statement: SelectStatement, parameters) -> ResultSet:
+        stats = ExecutionStats(statement_kind="select")
+        relation, env = self._filtered_relation(statement, parameters, stats)
 
         select_items = self._expand_select_items(statement.select_items, relation)
         output_names = [self._output_name(item, i) for i, item in enumerate(select_items)]
@@ -1019,10 +1032,17 @@ class Executor:
                 env = self._slotted_env(relation.columns, parameters, window_calls)
                 rows = [row + values for row, values in zip(rows, window_values)]
             item_fns = [self._compile(item.expression, env) for item in select_items]
-            output_rows = [tuple(fn(row) for fn in item_fns) for row in rows]
+            top = None
             if statement.order_by:
+                top = columnar_top_k(
+                    statement, [item.expression for item in select_items], output_names,
+                    relation, env.layout, limit_hint, bool(window_calls), stats,
+                )
+            projected = rows if top is None else top  # top-k: the winning rows only
+            output_rows = [tuple(fn(row) for fn in item_fns) for row in projected]
+            if statement.order_by and top is None:
                 output_rows = self._apply_order_by(
-                    statement.order_by, output_names, output_rows, rows, env, limit_hint
+                    statement.order_by, output_names, output_rows, rows, env, limit_hint, stats
                 )
 
         if statement.distinct:
@@ -1049,42 +1069,39 @@ class Executor:
         output_rows: List[Tuple[Any, ...]],
         source_rows: Sequence[Tuple[Any, ...]],
         env: _CompileEnv,
-        limit_hint: Optional[int] = None,
+        limit_hint: Optional[int],
+        stats: ExecutionStats,
     ) -> List[Tuple[Any, ...]]:
         """Sort ``output_rows``; ``source_rows[i]`` is the (``env``-shaped)
-        row that output row ``i`` was computed from."""
-        indices = list(range(len(output_rows)))
+        row that output row ``i`` was computed from.
+
+        NaN sort keys are SQL NULL (``types.is_null``): they are placed with
+        the NULLs, in row order among themselves.
+        """
+        count = len(output_rows)
         lowered_names = [name.lower() for name in output_names]
-
-        def key_getter(expression: Expression) -> Callable[[int], Any]:
-            # Ordinal (ORDER BY 1) and output-alias references read the
-            # output row; anything else is evaluated over the source row.
-            position = None
-            if isinstance(expression, Literal) and isinstance(expression.value, int):
-                position = expression.value - 1
-            elif isinstance(expression, ColumnRef) and expression.qualifier is None:
-                if expression.name.lower() in lowered_names:
-                    position = lowered_names.index(expression.name.lower())
+        keys_per_item: List[List[Any]] = []
+        for order_item in order_by:
+            position = output_position(order_item.expression, lowered_names)
             if position is not None:
-                return lambda index: output_rows[index][position]
-            fn = self._compile(expression, env)
-            return lambda index: fn(source_rows[index])
+                keys = [row[position] for row in output_rows]
+            else:
+                fn = self._compile(order_item.expression, env)
+                keys = [fn(row) for row in source_rows]
+            keys_per_item.append(
+                [None if is_null(key) else hashable_key(key) for key in keys]
+            )
 
-        key_getters = [key_getter(order_item.expression) for order_item in order_by]
+        if limit_hint is not None and 0 <= limit_hint < count:
+            stats.order_strategy = "heap"
+            return self._top_k_order_by(order_by, output_rows, keys_per_item, limit_hint)
 
-        if limit_hint is not None and 0 <= limit_hint < len(indices):
-            top = self._top_k_order_by(order_by, output_rows, key_getters, limit_hint)
-            if top is not None:
-                return top
-            # NaN keys: fall through to the multi-pass sort below, whose
-            # NaN placement (timsort with always-False comparisons) a
-            # consistent comparator cannot reproduce.
-
-        for order_item, key_of in reversed(list(zip(order_by, key_getters))):
-            keys = {i: key_of(i) for i in indices}
+        stats.order_strategy = "sort"
+        indices = list(range(count))
+        for order_item, keys in reversed(list(zip(order_by, keys_per_item))):
             non_null = [i for i in indices if keys[i] is not None]
             nulls = [i for i in indices if keys[i] is None]
-            non_null.sort(key=lambda i: hashable_key(keys[i]), reverse=not order_item.ascending)
+            non_null.sort(key=keys.__getitem__, reverse=not order_item.ascending)
             indices = (non_null + nulls) if order_item.nulls_last else (nulls + non_null)
         return [output_rows[i] for i in indices]
 
@@ -1092,32 +1109,20 @@ class Executor:
     def _top_k_order_by(
         order_by: List[OrderItem],
         output_rows: List[Tuple[Any, ...]],
-        key_getters: List[Callable[[int], Any]],
+        keys_per_item: List[List[Any]],
         limit: int,
-    ) -> Optional[List[Tuple[Any, ...]]]:
+    ) -> List[Tuple[Any, ...]]:
         """``ORDER BY ... LIMIT k`` short-circuit: bounded heap selection.
 
         One ``heapq.nsmallest`` over a composite comparator replaces the full
         multi-pass sort — O(n log k) instead of O(k_order · n log n) — which
         is the shape of Viterbi's per-position argmax (``ORDER BY score DESC
         LIMIT 1``).  The comparator reproduces the multi-pass semantics
-        exactly: per-key ascending/descending over ``hashable_key`` values,
-        NULLS FIRST/LAST partitioning per key, ties falling through to the
-        next key, and final ties keeping input order (``nsmallest`` is
-        stable), so the selected prefix is byte-identical to sorting
-        everything and slicing.  The one case a comparator cannot reproduce
-        is a NaN sort key — the multi-pass sort feeds NaN through timsort,
-        whose placement no antisymmetric comparator matches — so NaN keys
-        return ``None`` and the caller takes the full sort.
+        exactly: per-key ascending/descending, NULLS FIRST/LAST partitioning
+        per key, ties falling through to the next key, and final ties keeping
+        input order (``nsmallest`` is stable), so the selected prefix is
+        byte-identical to sorting everything and slicing.
         """
-        count = len(output_rows)
-        keys_per_item = [
-            [key_of(index) for index in range(count)] for key_of in key_getters
-        ]
-        for keys in keys_per_item:
-            for value in keys:
-                if isinstance(value, float) and value != value:
-                    return None
 
         def compare(first: int, second: int) -> int:
             for keys, order_item in zip(keys_per_item, order_by):
@@ -1128,7 +1133,6 @@ class Executor:
                     if order_item.nulls_last:
                         return 1 if a is None else -1
                     return -1 if a is None else 1
-                a, b = hashable_key(a), hashable_key(b)
                 if a == b:
                     continue
                 if a < b:
@@ -1136,7 +1140,7 @@ class Executor:
                 return 1 if order_item.ascending else -1
             return 0
 
-        top = heapq.nsmallest(limit, range(count), key=cmp_to_key(compare))
+        top = heapq.nsmallest(limit, range(len(output_rows)), key=cmp_to_key(compare))
         return [output_rows[index] for index in top]
 
     def _execute_grouped(
@@ -1150,34 +1154,30 @@ class Executor:
         env: _CompileEnv,
         limit_hint: Optional[int] = None,
     ) -> List[Tuple[Any, ...]]:
-        aggregates = self._aggregate_registry()
-
-        # Compile each aggregate call's plan once per query (not per group):
-        # definition, reusable aggregator, compiled argument closures.
-        use_batch = self.database.compiled_execution
-        call_plans: List[Tuple[FunctionCall, AggregateDefinition, SegmentedAggregator, list]] = []
-        for call in aggregate_calls:
-            definition = aggregates[call.name.lower()]
-            argument_fns = [self._compile(arg, env) for arg in call.args]
-            call_plans.append(
-                (call, definition, SegmentedAggregator(definition, use_batch=use_batch), argument_fns)
-            )
+        call_plans = self._call_plans(aggregate_calls, env)
 
         # Phase-one grouping: the worker pool when the statement qualifies
-        # (two-phase per-segment hash tables), in-process otherwise.  Both
-        # produce the same structure: (key, representative row index or None,
+        # (two-phase per-segment hash tables), else the partitioned kernel;
+        # the row loop is the ``compiled_execution=False`` oracle.  All
+        # produce the same structure: (key, representative row or None,
         # [aggregate value per call]) in global first-appearance order.
         group_results = self._parallel_grouped(statement, call_plans, relation, parameters, stats, env)
+        if group_results is not None:
+            stats.group_strategy = "pool"
+        elif self.database.compiled_execution:
+            group_results = partitioned_grouped(self, statement, call_plans, relation, stats, env)
+        else:
+            stats.group_decline_reason = "compiled_execution is off"
         if group_results is None:
+            stats.group_strategy = "rows"
             group_results = self._inprocess_grouped(statement, call_plans, relation, stats, env)
 
         # HAVING, the select list and ORDER BY run over one row per group:
         # the representative's columns, then one slot per aggregate call.
         # Only an ungrouped aggregate over no rows lacks a representative,
         # and then its expressions see no columns at all.
-        rows = relation.rows
         group_env = self._slotted_env(
-            relation.columns if rows else [], parameters, aggregate_calls
+            relation.columns if len(relation.rows) else [], parameters, aggregate_calls
         )
         having = (
             self._compile(statement.having, group_env)
@@ -1191,18 +1191,33 @@ class Executor:
         for _key, representative, aggregate_values in group_results:
             group_row = tuple(aggregate_values)
             if representative is not None:
-                group_row = rows[representative] + group_row
+                group_row = representative + group_row
             if having is not None and having(group_row) is not True:
                 continue
             output_rows.append(tuple(fn(group_row) for fn in item_fns))
             group_rows.append(group_row)
 
         if statement.order_by:
+            stats.order_decline_reason = "ORDER BY runs over aggregate output"
             output_names = [self._output_name(item, i) for i, item in enumerate(select_items)]
             output_rows = self._apply_order_by(
-                statement.order_by, output_names, output_rows, group_rows, group_env, limit_hint
+                statement.order_by, output_names, output_rows, group_rows, group_env,
+                limit_hint, stats,
             )
         return output_rows
+
+    def _call_plans(self, aggregate_calls: List[FunctionCall], env: _CompileEnv) -> List[tuple]:
+        """One ``(call, definition, aggregator, argument functions)`` per
+        aggregate call, compiled once per statement (not per group)."""
+        aggregates = self._aggregate_registry()
+        use_batch = self.database.compiled_execution
+        call_plans = []
+        for call in aggregate_calls:
+            definition = aggregates[call.name.lower()]
+            argument_fns = [self._compile(arg, env) for arg in call.args]
+            aggregator = SegmentedAggregator(definition, use_batch=use_batch)
+            call_plans.append((call, definition, aggregator, argument_fns))
+        return call_plans
 
     def _inprocess_grouped(
         self,
@@ -1211,8 +1226,9 @@ class Executor:
         relation: _Relation,
         stats: ExecutionStats,
         env: _CompileEnv,
-    ) -> List[Tuple[Any, Optional[int], List[Any]]]:
-        """Coordinator-side grouping and per-group aggregation."""
+    ) -> List[Tuple[Any, Optional[Tuple[Any, ...]], List[Any]]]:
+        """Row-at-a-time grouping: the ``compiled_execution=False`` oracle
+        the partitioned kernel is held byte-identical to."""
         groups: Dict[Any, List[int]] = {}
         group_order: List[Any] = []
         if statement.group_by:
@@ -1237,20 +1253,26 @@ class Executor:
             AggregateTimings(aggregate_name=definition.name)
             for _call, definition, _aggregator, _argument_fns in call_plans
         ]
-        results: List[Tuple[Any, Optional[int], List[Any]]] = []
+        results: List[Tuple[Any, Optional[Tuple[Any, ...]], List[Any]]] = []
+        rows, segment_ids = relation.rows, relation.segment_ids
         for key in group_order:
             member_indices = groups[key]
             aggregate_values: List[Any] = []
             for position, (call, definition, aggregator, argument_fns) in enumerate(call_plans):
-                value, timings = self._run_aggregate(
-                    call, definition, aggregator, argument_fns, member_indices, relation, env
-                )
+                # Per-segment argument streams, built row by row.
+                streams: List[list] = [[] for _ in range(max(relation.num_segments, 1))]
+                for index in member_indices:
+                    segment = segment_ids[index] if index < len(segment_ids) else 0
+                    streams[segment].append(
+                        (1,) if call.star else tuple(fn(rows[index]) for fn in argument_fns)
+                    )
+                value, timings = self._run_aggregate(call, definition, aggregator, streams)
                 aggregate_values.append(value)
                 if single_group:
                     stats.aggregate_timings.append(timings)
                 else:
                     grouped_timings[position].accumulate(timings)
-            representative = member_indices[0] if member_indices else None
+            representative = rows[member_indices[0]] if member_indices else None
             results.append((key, representative, aggregate_values))
         if not single_group and group_order:
             stats.aggregate_timings.extend(grouped_timings)
@@ -1264,7 +1286,7 @@ class Executor:
         parameters,
         stats: ExecutionStats,
         env: _CompileEnv,
-    ) -> Optional[List[Tuple[Any, Optional[int], List[Any]]]]:
+    ) -> Optional[List[Tuple[Any, Optional[Tuple[Any, ...]], List[Any]]]]:
         """Two-phase grouped aggregation on the worker pool, or None.
 
         Phase one runs in the workers: one task per segment builds a partial
@@ -1330,18 +1352,10 @@ class Executor:
         # global first-appearance group order from per-segment tables; when
         # sorted, each segment's rows are one contiguous run, so segments
         # ship as plain slices.
-        segment_ids = relation.segment_ids
-        segment_slices: List[Tuple[int, int]] = []
-        run_start = 0
-        for index in range(1, len(segment_ids) + 1):
-            if index == len(segment_ids) or segment_ids[index] != segment_ids[run_start]:
-                segment_slices.append((run_start, index))
-                run_start = index
-        if any(
-            segment_ids[first[0]] > segment_ids[second[0]]
-            for first, second in zip(segment_slices, segment_slices[1:])
-        ):
+        runs = segment_runs(relation.segment_ids)
+        if runs is None:
             return None
+        segment_slices = [(start, end) for _segment, start, end in runs]
 
         rows = relation.rows
         sample_size = min(len(rows), pool.GROUP_SAMPLE_ROWS)
@@ -1399,8 +1413,8 @@ class Executor:
                     for state_list, state in zip(known, states):
                         state_list.append(state)
 
-        results: List[Tuple[Any, Optional[int], List[Any]]] = [
-            (key, representative[key], []) for key in group_order
+        results: List[Tuple[Any, Optional[Tuple[Any, ...]], List[Any]]] = [
+            (key, rows[representative[key]], []) for key in group_order
         ]
         wall_share = wall / max(len(call_plans), 1)
         rows_per_segment = [len(batch) for batch in segment_rows]
@@ -1419,124 +1433,39 @@ class Executor:
             timings.num_workers = pool.num_workers
             timings.num_groups = len(group_order)
             timings.grouped_dispatch = True
-            start = time.perf_counter()
-            merged = {
-                key: aggregator.runner.merge_states(partial_states[key][position])
-                for key in group_order
-            }
-            timings.merge_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            for key, _representative, values in results:
-                values.append(definition.finalize(merged[key]))
-            timings.final_seconds = time.perf_counter() - start
+            finalized = merge_and_finalize(
+                aggregator, [partial_states[key][position] for key in group_order], timings
+            )
+            for (_key, _representative, values), value in zip(results, finalized):
+                values.append(value)
             stats.aggregate_timings.append(timings)
         return results
-
-    def _columnar_streams(
-        self,
-        call: FunctionCall,
-        member_indices: List[int],
-        relation: _Relation,
-        env: _CompileEnv,
-    ) -> Optional[List[ColumnBatch]]:
-        """Per-segment argument columns sliced from the table's columnar view.
-
-        Applies only when the aggregated input is a base-table scan covering
-        every relation row — unfiltered, or bitmap-filtered with recorded
-        ``segment_selections`` — and each argument is a plain column
-        reference (or ``count(*)``); returns ``None`` otherwise.
-        """
-        table = relation.source_table
-        if (
-            table is None
-            or not self.database.compiled_execution
-            or call.distinct
-            or len(member_indices) != len(relation.rows)
-        ):
-            return None
-        layout = env.layout
-        if call.star:
-            argument_indices: List[int] = []
-        else:
-            argument_indices = []
-            for arg in call.args:
-                if not isinstance(arg, ColumnRef):
-                    return None
-                index = layout.resolve(arg.name, arg.qualifier)
-                if index is None:
-                    return None
-                argument_indices.append(index)
-        selections = relation.segment_selections
-        streams: List[ColumnBatch] = []
-        for segment in range(table.num_segments):
-            selection = selections[segment] if selections is not None else None
-            if call.star:
-                if selection is not None:
-                    length = len(selection)
-                else:
-                    segment_columns = table.segment_columns(segment)
-                    length = len(segment_columns[0]) if segment_columns else 0
-                # Constant argument, known NULL-free: O(1) space, no null scan.
-                streams.append(
-                    ColumnBatch((ConstantColumn(1, length),), prefiltered=True)
-                )
-            elif selection is not None:
-                # Bitmap-filtered scan: gather only the selected positions per
-                # argument column — the aggregate consumes the filter's output
-                # without any row tuple ever being built.
-                streams.append(
-                    table.segment_batch(segment, argument_indices, positions=selection)
-                )
-            else:
-                streams.append(table.segment_batch(segment, argument_indices))
-        return streams
 
     def _run_aggregate(
         self,
         call: FunctionCall,
         definition: AggregateDefinition,
         aggregator: SegmentedAggregator,
-        argument_fns: List[RowFunction],
-        member_indices: List[int],
-        relation: _Relation,
-        env: _CompileEnv,
+        streams: list,
     ) -> Tuple[Any, AggregateTimings]:
+        """One group's value for one call, from its per-segment argument
+        streams (column batches from the kernel, argument tuples from the
+        row loop)."""
         force_serial = not definition.supports_parallel or not self.database.parallel_aggregation
         # The worker pool (real parallel execution) engages only where the
         # merge path would: mergeable aggregate, parallel aggregation on.
         pool = None if force_serial else self.database.worker_pool
-
-        # Fastest path: argument streams are whole columns from the table's
-        # cached columnar view — no per-row work at all before the fold.
-        segment_streams = self._columnar_streams(call, member_indices, relation, env)
-        if segment_streams is not None:
-            return aggregator.run(segment_streams, force_serial=force_serial, pool=pool)
-
-        # Build per-segment argument streams row by row through the
-        # pre-compiled argument functions.
-        streams: Dict[int, List[Tuple[Any, ...]]] = {}
-        segment_ids = relation.segment_ids
-        rows = relation.rows
-        for index in member_indices:
-            segment = segment_ids[index] if index < len(segment_ids) else 0
-            if call.star:
-                arguments: Tuple[Any, ...] = (1,)
-            else:
-                row = rows[index]
-                arguments = tuple(fn(row) for fn in argument_fns)
-            streams.setdefault(segment, []).append(arguments)
         if call.distinct:
             seen = set()
             unique: List[Tuple[Any, ...]] = []
-            for stream in streams.values():
-                for arguments in stream:
+            for stream in streams:
+                for arguments in stream.rows() if isinstance(stream, ColumnBatch) else stream:
                     key = tuple(hashable_key(a) for a in arguments)
                     if key not in seen:
                         seen.add(key)
                         unique.append(arguments)
-            streams = {0: unique}
-        segment_streams = [streams.get(s, []) for s in range(max(relation.num_segments, 1))]
-        return aggregator.run(segment_streams, force_serial=force_serial, pool=pool)
+            streams = [unique] + [[] for _ in streams[1:]]
+        return aggregator.run(streams, force_serial=force_serial, pool=pool)
 
     def _execute_union(self, statement: UnionStatement, parameters) -> ResultSet:
         results = [self._execute_select(select, parameters) for select in statement.selects]

@@ -48,9 +48,9 @@ import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CatalogError
-from .aggregates import AggregateDefinition, AggregateRunner
 from .compile import RowFunction
 from .expressions import Expression, FunctionCall, Parameter, Star
+from .grouping import grouped_states
 from .parser.ast_nodes import (
     SelectItem,
     SelectStatement,
@@ -60,6 +60,7 @@ from .parser.ast_nodes import (
     UnionStatement,
 )
 from .plancache import referenced_tables
+from .segments import ExecutionStats
 from .types import hashable_key, is_null
 
 __all__ = [
@@ -98,26 +99,6 @@ class _Group:
         self.states = states
 
 
-class _CallSpec:
-    """A planned aggregate call: definition, runner and argument functions."""
-
-    __slots__ = ("call", "definition", "runner", "argument_fns")
-
-    def __init__(
-        self,
-        call: FunctionCall,
-        definition: AggregateDefinition,
-        argument_fns: List[RowFunction],
-    ) -> None:
-        self.call = call
-        self.definition = definition
-        self.runner = AggregateRunner(definition)
-        self.argument_fns = argument_fns
-
-    def fresh_states(self, num_segments: int) -> List[Any]:
-        return [self.definition.make_state() for _ in range(num_segments)]
-
-
 class _MaintenancePlan:
     """Row functions for folding and finalizing, valid for one catalog version.
 
@@ -127,20 +108,21 @@ class _MaintenancePlan:
     does not, and its expressions then see no columns at all).
     """
 
-    __slots__ = ("catalog_version", "key_fns", "where_fn", "call_specs", "finalizers")
+    __slots__ = ("catalog_version", "key_fns", "where_fn", "call_plans", "finalizers")
 
     def __init__(
         self,
         catalog_version: int,
         key_fns: List[RowFunction],
         where_fn: Optional[RowFunction],
-        call_specs: List[_CallSpec],
+        call_plans: List[tuple],
         finalizers: Dict[bool, Tuple[Optional[RowFunction], List[RowFunction]]],
     ) -> None:
         self.catalog_version = catalog_version
         self.key_fns = key_fns
         self.where_fn = where_fn
-        self.call_specs = call_specs
+        #: The executor's ``(call, definition, aggregator, argument functions)``.
+        self.call_plans = call_plans
         self.finalizers = finalizers
 
 
@@ -389,15 +371,6 @@ def _maintenance_plan(executor, view: MaterializedView) -> _MaintenancePlan:
     if statement.having is not None:
         aggregate_sources.append(statement.having)
     calls = executor._collect_aggregate_calls(aggregate_sources)
-    aggregates = executor._aggregate_registry()
-    call_specs = [
-        _CallSpec(
-            call,
-            aggregates[call.name.lower()],
-            [executor._compile(argument, env) for argument in call.args],
-        )
-        for call in calls
-    ]
 
     def finalizer(group_columns):
         group_env = executor._slotted_env(group_columns, None, calls)
@@ -414,11 +387,19 @@ def _maintenance_plan(executor, view: MaterializedView) -> _MaintenancePlan:
         catalog_version,
         [executor._compile(expression, env) for expression in statement.group_by],
         executor._compile(statement.where, env) if statement.where is not None else None,
-        call_specs,
+        executor._call_plans(calls, env),
         {True: finalizer(columns), False: finalizer([])},
     )
     view._plan = plan
     return plan
+
+
+def _fresh_states(plan: _MaintenancePlan, num_segments: int) -> List[List[Any]]:
+    """Initial per-segment states for every aggregate call of one new group."""
+    return [
+        [definition.make_state() for _ in range(num_segments)]
+        for _call, definition, _aggregator, _argument_fns in plan.call_plans
+    ]
 
 
 def _absorb_row(
@@ -444,20 +425,20 @@ def _absorb_row(
         group = _Group(
             order_key,
             row,
-            [spec.fresh_states(num_segments) for spec in plan.call_specs],
+            _fresh_states(plan, num_segments),
         )
         groups[key] = group
     elif group.order_key is None or order_key < group.order_key:
         group.order_key = order_key
         group.rep_row = row
-    for spec, states in zip(plan.call_specs, group.states):
-        if spec.call.star:
+    for (call, definition, _aggregator, argument_fns), states in zip(plan.call_plans, group.states):
+        if call.star:
             arguments: tuple = (1,)
         else:
-            arguments = tuple(fn(row) for fn in spec.argument_fns)
-        if spec.definition.strict and any(is_null(value) for value in arguments):
+            arguments = tuple(fn(row) for fn in argument_fns)
+        if definition.strict and any(is_null(value) for value in arguments):
             continue
-        states[segment] = spec.definition.transition(states[segment], *arguments)
+        states[segment] = definition.transition(states[segment], *arguments)
 
 
 # ---------------------------------------------------------------------- refresh
@@ -477,18 +458,31 @@ def refresh(executor, view: MaterializedView, stats=None) -> None:
 
 
 def _rebuild_incremental(executor, view: MaterializedView) -> None:
+    """Rebuild through the executor's grouping kernel.
+
+    The kernel yields exactly what a view stores — per group: key, first
+    ``(segment, row number)``, representative row, one state per aggregate
+    per segment — so only the O(delta) INSERT fold goes row by row.  A row
+    number counts the segment's WHERE survivors, so it never exceeds the
+    stored position: order keys stay comparable with the positions later
+    INSERT deltas carry.
+    """
     table = _base_table(executor, view)
     plan = _maintenance_plan(executor, view)
-    groups: Dict[Any, _Group] = {}
-    if not view.statement.group_by:
-        # The executor always emits one output row for an empty grouped scan.
-        groups[()] = _Group(
-            None, None, [spec.fresh_states(table.num_segments) for spec in plan.call_specs]
-        )
+    statement = view.statement
     before_version = table._data_version
-    for segment in range(table.num_segments):
-        for position, row in enumerate(table.segment_view(segment)):
-            _absorb_row(plan, groups, row, segment, position, table.num_segments)
+    scratch = ExecutionStats()  # the rebuild is not the reading statement's scan
+    relation, env = executor._filtered_relation(statement, None, scratch)
+    grouped = grouped_states(executor, statement.group_by, plan.call_plans, relation, scratch, env)
+    groups: Dict[Any, _Group] = {
+        key: _Group(origin, row, [[states[slot] for states in call] for call in grouped.states])
+        for slot, (key, origin, row) in enumerate(
+            zip(grouped.keys, grouped.origins, grouped.rows)
+        )
+    }
+    if not groups and not statement.group_by:
+        # The executor always emits one output row for an empty grouped scan.
+        groups[()] = _Group(None, None, _fresh_states(plan, table.num_segments))
     view.groups = groups
     view.num_base_segments = table.num_segments
     view.synced_versions = {view.base_table: before_version}
@@ -547,8 +541,8 @@ def _finalize_incremental(executor, view: MaterializedView) -> List[tuple]:
     rows: List[tuple] = []
     for group in ordered:
         group_row = tuple(
-            spec.definition.finalize(spec.runner.merge_states(list(states)))
-            for spec, states in zip(plan.call_specs, group.states)
+            definition.finalize(aggregator.runner.merge_states(list(states)))
+            for (_call, definition, aggregator, _fns), states in zip(plan.call_plans, group.states)
         )
         if group.rep_row is not None:
             group_row = group.rep_row + group_row

@@ -1034,6 +1034,21 @@ def explain_statement(executor, target, parameters, *, analyze: bool = False) ->
                     node.lines.append(
                         "Vectorized: yes" if detail.vectorized else "Vectorized: no"
                     )
+            # Which grouping / ordering strategy ran, and why not the faster
+            # one — on the statement's own nodes (the chain above its scans).
+            node = tree
+            while node.label in ("Limit", "Unique", "Sort", "HashAggregate"):
+                if node.label == "HashAggregate" and stats.group_strategy:
+                    why = stats.group_decline_reason
+                    node.lines.append(
+                        f"Grouping: {stats.group_strategy}" + (f" ({why})" if why else "")
+                    )
+                elif node.label == "Sort" and stats.order_strategy:
+                    why = stats.order_decline_reason
+                    node.lines.append(
+                        f"Ordering: {stats.order_strategy}" + (f" ({why})" if why else "")
+                    )
+                node = node.children[0]
             for node, step in zip(builder.join_nodes, stats.join_steps):
                 node.actual_rows = step.rows_emitted
                 label = _JOIN_STRATEGY_LABELS.get(step.strategy)

@@ -96,6 +96,10 @@ class AggregateTimings:
     #: pool or was never dispatched.  Set only for *infra* faults — query
     #: errors propagate instead of falling back.
     fallback_reason: Optional[str] = None
+    #: ``batch_kernel:<ExceptionType>`` when a batch kernel raised and the
+    #: row fold took over (results are unaffected); not a pool fault, so it
+    #: never reaches ``ExecutionStats.parallel_fallback_reason``.
+    batch_fallback_reason: Optional[str] = None
     #: Supervision work this aggregate's fan-out(s) paid for: task
     #: re-submissions after infra faults, and full pool respawns.
     worker_retries: int = 0
@@ -135,6 +139,7 @@ class AggregateTimings:
         self.num_groups += 1
         if other.fallback_reason is not None and self.fallback_reason is None:
             self.fallback_reason = other.fallback_reason
+        self.batch_fallback_reason = self.batch_fallback_reason or other.batch_fallback_reason
         self.worker_retries += other.worker_retries
         self.pool_respawns += other.pool_respawns
 
@@ -286,6 +291,15 @@ class ExecutionStats:
     #: re-submissions after infra faults, and full worker-pool respawns.
     worker_retries: int = 0
     pool_respawns: int = 0
+    #: Which phase one a GROUP BY ran — ``columnar`` (group ids from packed /
+    #: dictionary key columns), ``partitioned`` (ids from key values computed
+    #: per column), ``rows`` (the row loop) or ``pool`` (two-phase dispatch) —
+    #: and which ORDER BY ran: ``columnar-topk``, ``heap`` or ``sort``.  Each
+    #: ``*_decline_reason`` names the first guard that refused the faster one.
+    group_strategy: Optional[str] = None
+    group_decline_reason: Optional[str] = None
+    order_strategy: Optional[str] = None
+    order_decline_reason: Optional[str] = None
     #: Materialized-view maintenance this statement performed: incremental
     #: views that absorbed an INSERT delta by folding only the new rows into
     #: their group states (O(delta) upkeep) ...
@@ -375,22 +389,21 @@ class SegmentedAggregator:
         #: row-at-a-time (``Database(compiled_execution=False)``), so the
         #: parity suite compares genuinely different execution strategies.
         self.use_batch = use_batch
+        #: ``batch_kernel:<ExceptionType>`` once a batch kernel has raised and
+        #: the row fold took over (results are unaffected).
+        self.batch_fallback_reason: Optional[str] = None
 
     # -- per-segment folds ---------------------------------------------------
 
-    def _fold_batch(self, stream: Union[ColumnBatch, List[Sequence[Any]]]) -> Any:
+    #: Below this many rows the batch machinery (strict filter, kernel
+    #: dispatch) costs more than a plain fold — e.g. high-cardinality
+    #: GROUP BY produces thousands of single-row streams.
+    _BATCH_MIN_ROWS = 8
+
+    def _fold_batch(self, columns: Sequence[Sequence[Any]], length: int, prefiltered: bool) -> Any:
         """One batch-kernel call over a segment's argument columns."""
         definition = self.definition
         state = definition.make_state()
-        prefiltered = False
-        if isinstance(stream, ColumnBatch):
-            columns, length = stream.columns, stream.length
-            prefiltered = stream.prefiltered
-        elif stream:
-            columns = tuple(list(column) for column in zip(*stream))
-            length = len(stream)
-        else:
-            return state
         if length == 0:
             return state
         if definition.strict and not prefiltered:
@@ -399,26 +412,37 @@ class SegmentedAggregator:
                 return state
         return definition.batch_transition(state, *columns)
 
-    #: Below this many rows the batch machinery (transpose, strict filter,
-    #: kernel dispatch) costs more than a plain fold — e.g. high-cardinality
-    #: GROUP BY produces thousands of single-row streams.
-    _BATCH_MIN_ROWS = 8
-
-    def _fold_stream(self, stream: Union[ColumnBatch, List[Sequence[Any]]]) -> Any:
-        """Fold one segment: batched tier when available, row tier otherwise."""
-        if (
+    def _batches(self, length: int) -> bool:
+        """Whether a stream of ``length`` rows takes the batched tier."""
+        return (
             self.use_batch
             and self.definition.batch_transition is not None
-            and len(stream) >= self._BATCH_MIN_ROWS
-        ):
+            and length >= self._BATCH_MIN_ROWS
+        )
+
+    def _fold_columns(
+        self, columns: Sequence[Sequence[Any]], length: int, prefiltered: bool = False
+    ) -> Any:
+        """Fold ``length`` rows given as argument columns: batched tier when
+        available, row tier otherwise.  ``prefiltered`` marks columns known
+        NULL-free (no strict NULL test needed)."""
+        if self._batches(length):
             try:
-                return self._fold_batch(stream)
-            except Exception:
+                return self._fold_batch(columns, length, prefiltered)
+            except Exception as exc:
                 # A failing batch kernel (ragged arrays, unsupported operand
                 # types) must not change which queries succeed.
-                pass
-        rows = stream.rows() if isinstance(stream, ColumnBatch) else stream
-        return self.runner.fold(rows)
+                self.batch_fallback_reason = f"batch_kernel:{type(exc).__name__}"
+        rows = zip(*columns) if columns else [()] * length
+        return self.runner.fold(rows, prefiltered=prefiltered)
+
+    def _fold_stream(self, stream: Union[ColumnBatch, List[Sequence[Any]]]) -> Any:
+        """Fold one segment's stream (a column batch, or argument tuples)."""
+        if isinstance(stream, ColumnBatch):
+            return self._fold_columns(stream.columns, stream.length, stream.prefiltered)
+        if self._batches(len(stream)):
+            return self._fold_columns(tuple(list(c) for c in zip(*stream)), len(stream))
+        return self.runner.fold(stream)
 
     @staticmethod
     def _concatenate(
@@ -512,4 +536,5 @@ class SegmentedAggregator:
         start = time.perf_counter()
         value = self.definition.finalize(state)
         timings.final_seconds = time.perf_counter() - start
+        timings.batch_fallback_reason = self.batch_fallback_reason
         return value, timings

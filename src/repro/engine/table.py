@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError, TypeMismatchError
-from .columnar import ColumnStore, gather_positions
+from .columnar import ColumnStore
 from .schema import Schema
 from .types import coerce_value, hashable_key
 
@@ -414,43 +414,6 @@ class Table:
             columns = tuple([] for _ in self.schema)
         self._columnar_cache[segment] = (version, columns)
         return columns
-
-    def segment_batch(
-        self,
-        segment: int,
-        column_indices: Sequence[int],
-        *,
-        positions=None,
-    ) -> "ColumnBatch":
-        """One segment's values for the given columns, as a ``ColumnBatch``.
-
-        Zero-copy-ish export for the aggregate fast path and the parallel
-        worker pool: the batch holds references to the stored columns (packed
-        columns in columnar mode, the cached transposed view in row mode),
-        and ``ColumnBatch`` pickles packed columns as typed buffers when a
-        batch is shipped to a worker process.
-
-        ``positions`` (ascending row positions within the segment, e.g. a
-        vectorized WHERE's selection) gathers just those rows per column —
-        late materialization for filtered aggregates, no row tuples built.
-        """
-        from .vectorized import ColumnBatch
-
-        columns = self.segment_columns(segment)
-        if positions is None:
-            exported = tuple(columns[i] for i in column_indices)
-            for column in exported:
-                # Build packed-column ndarray views now (they are cached), so
-                # the timed per-segment folds measure the fold itself — the
-                # same place the row-mode transpose cost is paid.
-                warm = getattr(column, "values_array", None)
-                if warm is not None:
-                    warm()
-                    column.null_mask()
-            return ColumnBatch(exported)
-        return ColumnBatch(
-            tuple(gather_positions(columns[i], positions) for i in column_indices)
-        )
 
     def segment_sizes(self) -> List[int]:
         """Number of rows per segment (used to report distribution skew)."""

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..abstraction import (
     AnyType,
@@ -209,6 +208,11 @@ def _finalize(state: LinRegrTransitionState) -> Optional[Dict[str, object]]:
     std_err = np.sqrt(np.clip(np.diag(inverse) * variance, 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(std_err > 0, coef / std_err, np.inf * np.sign(coef))
+    # Imported where it is used: ``scipy.stats`` costs ~70 MB of resident
+    # memory, and ANALYZE imports this package (for the FM sketch) in every
+    # process, most of which never finalize a regression.
+    from scipy import stats as scipy_stats
+
     p_values = 2.0 * scipy_stats.t.sf(np.abs(t_stats), degrees_of_freedom)
 
     return {

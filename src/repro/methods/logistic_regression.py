@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..abstraction import LogRegrIRLSState, SymmetricPositiveDefiniteEigenDecomposition
 from ..driver import IterationController, validate_column_type, validate_columns_exist, validate_table_exists
@@ -196,6 +195,8 @@ def train(
     std_err = np.sqrt(np.clip(covariance_diag, 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         z_stats = np.where(std_err > 0, coef / std_err, np.inf * np.sign(coef))
+    from scipy import stats as scipy_stats  # lazily: see linear_regression._finalize
+
     p_values = 2.0 * scipy_stats.norm.sf(np.abs(z_stats))
     return LogisticRegressionResult(
         coef=coef,
