@@ -10,6 +10,10 @@
    explicit centroid_id column refreshed with UPDATE.
 5. UPDATE vs CREATE TABLE AS SELECT for bulk state replacement (the
    PostgreSQL versioned-storage discussion).
+6. Micro-programming (Section 3.3): each method aggregate's whole-segment
+   batch kernel against its row-at-a-time fold on the same data, reported as
+   a machine-independent ratio.  ``python benchmarks/bench_ablations.py``
+   prints the table and exits nonzero below the floors (the CI smoke step).
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import pytest
 from repro import Database
 from repro.datasets import load_points_table, load_regression_table, make_blobs, make_regression
 from repro.driver import IterationController
-from repro.methods import kmeans, linear_regression, logistic_regression
+from repro.methods import kmeans, linear_regression, logistic_regression, naive_bayes
+from repro.methods.sketches import countmin, fm
 from repro.datasets import load_logistic_table, make_logistic
 
 from harness import DEFAULT_ROWS, best_linregr, build_regression_database, run_linregr
@@ -173,3 +178,82 @@ def test_ablation_update_vs_ctas(benchmark, strategy):
     benchmark.pedantic(run_update if strategy == "update" else run_ctas, rounds=1, iterations=1)
     benchmark.extra_info["strategy"] = strategy
     assert database.query_scalar("SELECT count(*) FROM state") == max(DEFAULT_ROWS, 2000)
+
+
+# ---------------------------------------------------------------------------
+# 6. Batch kernels vs the row fold
+# ---------------------------------------------------------------------------
+
+#: Lowest acceptable row-fold / batch-kernel time ratio, per aggregate.
+BATCH_RATIO_FLOORS = {"kmeans_step": 3.0, "logregr_irls_step": 3.0}
+
+
+def _batch_ablation_database(compiled: bool, rows: int) -> Database:
+    database = Database(num_segments=4, compiled_execution=compiled)
+    load_regression_table(database, "regr", make_regression(rows, 20, seed=106))
+    load_logistic_table(database, "logi", make_logistic(rows, 8, seed=107))
+    load_points_table(database, "pts", make_blobs(rows, 4, 5, seed=108)[0])
+    database.create_table("events", [("item", "integer")])
+    rng = np.random.default_rng(109)
+    database.load_rows("events", [(int(v),) for v in np.minimum(rng.zipf(1.3, rows), 5000)])
+    linear_regression.install_linear_regression(database)
+    logistic_regression.install_logistic_regression(database)
+    kmeans.install_kmeans(database)
+    fm.install_fm(database)
+    countmin.install_countmin(database)
+    naive_bayes.train_gaussian(database, "logi", "y", "x")  # registers nb_gauss_stats
+    return database
+
+
+def batch_kernel_ratios(rows: int = 2000, repeats: int = 5) -> dict:
+    """``{aggregate: (row-fold seconds, batch seconds, ratio)}``: one statement
+    per batched aggregate, best of ``repeats``, on twin databases that differ
+    only in ``compiled_execution`` (off = the row fold)."""
+    centroids = np.linspace(-3.0, 3.0, 5 * 4)
+    statements = {
+        "linregr": ("SELECT linregr(y, x) FROM regr", None),
+        "logregr_irls_step": (
+            "SELECT logregr_irls_step(y, x, %(c)s) FROM logi", {"c": np.full(8, 0.1)},
+        ),
+        "kmeans_step": (
+            "SELECT kmeans_step(coords, %(c)s, %(k)s) FROM pts", {"c": centroids, "k": 5},
+        ),
+        "kmeans_reassigned": (
+            "SELECT kmeans_reassigned(coords, %(c)s, %(d)s, %(k)s) FROM pts",
+            {"c": centroids, "d": centroids[::-1].copy(), "k": 5},
+        ),
+        "nb_gauss_stats": ("SELECT y, nb_gauss_stats(x) FROM logi GROUP BY y", None),
+        "fmsketch": ("SELECT fmsketch(item) FROM events", None),
+        "cmsketch": ("SELECT cmsketch(item) FROM events", None),
+    }
+    twins = {tier: _batch_ablation_database(tier == "batch", rows) for tier in ("rows", "batch")}
+    ratios = {}
+    for name, (sql, parameters) in statements.items():
+        seconds = {}
+        for tier, database in twins.items():
+            result = database.execute(sql, parameters)  # warm: lazy views, imports
+            assert result.stats.aggregate_timings[-1].fold_tier == tier, (name, tier)
+            best = float("inf")
+            for _ in range(repeats):
+                start = time.perf_counter()
+                database.execute(sql, parameters)
+                best = min(best, time.perf_counter() - start)
+            seconds[tier] = best
+        ratios[name] = (seconds["rows"], seconds["batch"], seconds["rows"] / seconds["batch"])
+    return ratios
+
+
+def test_ablation_batch_kernels():
+    ratios = batch_kernel_ratios()
+    for name, floor in BATCH_RATIO_FLOORS.items():
+        assert ratios[name][2] >= floor, (name, ratios[name])
+
+
+if __name__ == "__main__":
+    table = batch_kernel_ratios()
+    print(f"{'aggregate':<20}{'rows ms':>10}{'batch ms':>10}{'ratio':>8}")
+    for aggregate, (row_s, batch_s, ratio) in table.items():
+        print(f"{aggregate:<20}{row_s * 1e3:>10.2f}{batch_s * 1e3:>10.2f}{ratio:>7.1f}x")
+    failed = [name for name, floor in BATCH_RATIO_FLOORS.items() if table[name][2] < floor]
+    if failed:
+        raise SystemExit(f"batch kernel below its floor: {', '.join(failed)}")

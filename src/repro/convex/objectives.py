@@ -61,6 +61,13 @@ class Objective:
     def total_loss(self, model: np.ndarray, rows: Sequence[Sequence[Any]]) -> float:
         return float(sum(self.loss(model, row) for row in rows))
 
+    def __eq__(self, other: Any) -> bool:
+        """Same model with the same hyper-parameters (lets a repeated
+        ``install_igd`` be recognised as a catalog no-op)."""
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    __hash__ = None
+
 
 # ---------------------------------------------------------------------------
 # Vector-model objectives: y, x rows

@@ -11,7 +11,8 @@ library's installation SQL scripts.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from dataclasses import fields
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..errors import CatalogError
 from .aggregates import AggregateDefinition
@@ -21,6 +22,25 @@ from .schema import Schema
 from .table import Table
 
 __all__ = ["Catalog"]
+
+
+def _same(a: Any, b: Any) -> bool:
+    """Interchangeable definition fields: one object, equal plain values, or
+    bound methods of one function on kernel objects of one class with equal
+    parameters (two bound methods are otherwise equal only on one object)."""
+    try:
+        if hasattr(a, "__func__") and hasattr(b, "__func__"):
+            a, b = ((m.__func__, type(m.__self__), vars(m.__self__)) for m in (a, b))
+        return a is b or (type(a) is type(b) and bool(a == b))
+    except (TypeError, ValueError):  # a kernel without __dict__, an ndarray-valued field
+        return False
+
+
+def _identical(new: Any, registered: Any) -> bool:
+    """Re-registering ``new`` over ``registered`` would change nothing."""
+    return type(new) is type(registered) and all(
+        _same(getattr(new, field.name), getattr(registered, field.name)) for field in fields(new)
+    )
 
 
 class Catalog:
@@ -301,6 +321,8 @@ class Catalog:
         key = definition.name.lower()
         if key in self._functions and not replace:
             raise CatalogError(f"function {definition.name!r} already exists")
+        if _identical(definition, self._functions.get(key)):
+            return  # a method's install step on every call: nothing to invalidate
         self._functions[key] = definition
         self._bump()
 
@@ -322,6 +344,8 @@ class Catalog:
         key = definition.name.lower()
         if key in self._aggregates and not replace:
             raise CatalogError(f"aggregate {definition.name!r} already exists")
+        if _identical(definition, self._aggregates.get(key)):
+            return
         self._aggregates[key] = definition
         self._bump()
 

@@ -54,9 +54,10 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .schema import Schema
-from .types import BIGINT, BOOLEAN, DOUBLE, INTEGER, TEXT, is_null
+from .types import BIGINT, BOOLEAN, DOUBLE, DOUBLE_ARRAY, INTEGER, TEXT, is_null
 
 __all__ = [
+    "ArrayColumn",
     "ColumnStore",
     "DictColumn",
     "TypedColumn",
@@ -468,6 +469,43 @@ class DictColumn(Sequence):
         return ("dict16", (codes, tuple(self.values)))
 
 
+class ArrayColumn(list):
+    """One ``double precision[]`` column: the object list plus a matrix view.
+
+    :meth:`matrix` stacks the rows into one read-only ``(rows, width)``
+    float64 array (what ``np.asarray(column)`` hands a batch kernel), cached
+    like ``TypedColumn._values_cache`` until the column next mutates: an
+    INSERT's append shows as a changed length, an UPDATE's item assignment
+    drops the cache here, DELETE and TRUNCATE build a fresh column.
+    """
+
+    #: ``(rows stacked, matrix or None)``; a stale length means recompute.
+    _matrix: Tuple[int, Optional[np.ndarray]] = (-1, None)
+
+    def __setitem__(self, index, value) -> None:
+        self._matrix = (-1, None)
+        super().__setitem__(index, value)
+
+    def matrix(self) -> Optional[np.ndarray]:
+        """``None`` for a column that is empty, holds a NULL or is ragged."""
+        if self._matrix[0] != len(self):
+            try:
+                stacked = np.array(self[:], dtype=np.float64)  # a slice is a plain list
+                stacked.flags.writeable = False
+            except (TypeError, ValueError):  # a NULL row, ragged widths
+                stacked = None
+            if stacked is not None and stacked.ndim != 2:
+                stacked = None
+            self._matrix = (len(self), stacked)
+        return self._matrix[1]
+
+    def __array__(self, dtype=None, copy=None):
+        matrix = self.matrix()
+        if matrix is None:  # the kernel's caller falls back to the row fold
+            raise ValueError("array column is empty, ragged or holds NULLs")
+        return matrix if dtype in (None, matrix.dtype) else matrix.astype(dtype)
+
+
 class ColumnStore(Sequence):
     """One segment's rows, stored as typed packed columns.
 
@@ -497,7 +535,7 @@ class ColumnStore(Sequence):
             # would lose ``numeric_view`` and with it the numeric bitmap
             # path, a net loss.
             return DictColumn()
-        return []
+        return ArrayColumn() if sql_type is DOUBLE_ARRAY else []
 
     # -- writes -------------------------------------------------------------
 
@@ -563,7 +601,7 @@ class ColumnStore(Sequence):
             if isinstance(column, (TypedColumn, DictColumn)):
                 new_columns.append(column.take(index))
             else:
-                new_columns.append([column[p] for p in index])
+                new_columns.append(type(column)(column[p] for p in index))
         self._columns = new_columns
         self._length = len(index)
         self._rows_cache = None

@@ -76,6 +76,7 @@ __all__ = [
     "collect_table_statistics",
     "AccessPath",
     "choose_access_path",
+    "constant_value",
     "maybe_auto_analyze",
     "PlanNode",
     "explain_statement",
@@ -195,13 +196,9 @@ def _estimate_distinct(sample: List[Any], population: int) -> float:
         return 0.0
     # Lazy import: methods build on the engine, so the engine must not import
     # the methods package at module load time.
-    from ..methods.sketches.fm import FMSketchKernel
+    from ..methods.sketches.fm import FMSketch
 
-    kernel = FMSketchKernel(num_maps=FM_NUM_MAPS)
-    state = None
-    for value in sample:
-        state = kernel.transition(state, value)
-    estimate = float(state.estimate()) if state is not None else 0.0
+    estimate = float(FMSketch.empty(FM_NUM_MAPS).add_many(sample).estimate())
     estimate = min(estimate, float(len(sample)))
     if population > len(sample) and estimate >= 0.75 * len(sample):
         estimate *= population / max(len(sample), 1)
@@ -393,15 +390,22 @@ class AccessPath:
 _SCALAR_TYPES = (int, float, str, bool)
 
 
-def _constant_value(
+def constant_value(
     expression: Expression,
     layout: ColumnLayout,
     functions: Dict[str, Callable[..., Any]],
     parameters: Optional[Dict[str, Any]],
     aggregate_names: frozenset,
+    scalar_only: bool = True,
 ) -> Tuple[bool, Any]:
-    """Evaluate a row-independent expression at plan time; (ok, value)."""
-    if layout.column_indices(expression) != frozenset():
+    """Evaluate a row-independent expression at plan time; (ok, value).
+
+    Nothing that reads a column or calls a volatile or unknown function is a
+    constant.  Index probes need a scalar; an aggregate argument
+    (``scalar_only=False``) may be any value, e.g. a bound array parameter."""
+    if layout.column_indices(expression) != frozenset() or has_unshippable_calls(
+        expression, functions
+    ):
         return False, None
     compiled = compile_expression(
         expression, ColumnLayout([]), functions, parameters, aggregate_names
@@ -413,7 +417,7 @@ def _constant_value(
     except Exception:
         # A raising constant (e.g. 1/0) must raise on the scan path instead.
         return False, None
-    if value is not None and not isinstance(value, _SCALAR_TYPES):
+    if scalar_only and value is not None and not isinstance(value, _SCALAR_TYPES):
         return False, None
     return True, value
 
@@ -473,8 +477,8 @@ def choose_access_path(
             column = indexed_column(conjunct.operand)
             if column is None:
                 continue
-            ok_low, low = _constant_value(conjunct.low, layout, functions, parameters, aggregate_names)
-            ok_high, high = _constant_value(conjunct.high, layout, functions, parameters, aggregate_names)
+            ok_low, low = constant_value(conjunct.low, layout, functions, parameters, aggregate_names)
+            ok_high, high = constant_value(conjunct.high, layout, functions, parameters, aggregate_names)
             if ok_low and ok_high:
                 range_constraints.setdefault(column, []).append((position, "low", False, low))
                 range_constraints.setdefault(column, []).append((position, "high", False, high))
@@ -493,7 +497,7 @@ def choose_access_path(
                 continue
             # Flip the comparison: ``5 > col`` is ``col < 5``.
             op = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}[op]
-        ok, value = _constant_value(other, layout, functions, parameters, aggregate_names)
+        ok, value = constant_value(other, layout, functions, parameters, aggregate_names)
         if not ok:
             continue
         if op == "=":
@@ -1037,7 +1041,7 @@ def explain_statement(executor, target, parameters, *, analyze: bool = False) ->
             # Which grouping / ordering strategy ran, and why not the faster
             # one — on the statement's own nodes (the chain above its scans).
             node = tree
-            while node.label in ("Limit", "Unique", "Sort", "HashAggregate"):
+            while node.label in ("Limit", "Unique", "Sort", "HashAggregate", "Aggregate"):
                 if node.label == "HashAggregate" and stats.group_strategy:
                     why = stats.group_decline_reason
                     node.lines.append(
@@ -1048,6 +1052,11 @@ def explain_statement(executor, target, parameters, *, analyze: bool = False) ->
                     node.lines.append(
                         f"Ordering: {stats.order_strategy}" + (f" ({why})" if why else "")
                     )
+                if node.label.endswith("Aggregate"):
+                    # Which tier folded each aggregate, and why not the batch one.
+                    for t in filter(lambda t: t.fold_tier, stats.aggregate_timings):
+                        why = f" ({t.fold_decline_reason})" if t.fold_decline_reason else ""
+                        node.lines.append(f"Fold: {t.aggregate_name} {t.fold_tier}{why}")
                 node = node.children[0]
             for node, step in zip(builder.join_nodes, stats.join_steps):
                 node.actual_rows = step.rows_emitted

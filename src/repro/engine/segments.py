@@ -47,7 +47,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 
 from .aggregates import AggregateDefinition, AggregateRunner
 from .parallel import WorkerPoolError
-from .vectorized import ColumnBatch, strict_filter_columns
+from .vectorized import ColumnBatch, ConstantColumn, strict_filter_columns
 
 __all__ = [
     "AggregateTimings",
@@ -100,6 +100,12 @@ class AggregateTimings:
     #: row fold took over (results are unaffected); not a pool fault, so it
     #: never reaches ``ExecutionStats.parallel_fallback_reason``.
     batch_fallback_reason: Optional[str] = None
+    #: Which tier folded the transition side — ``batch`` (whole-segment
+    #: kernel) or ``rows`` — and, for ``rows``, why not the faster one: ``no
+    #: batch kernel``, ``below _BATCH_MIN_ROWS``, ``compiled_execution=False``
+    #: or the ``batch_fallback_reason``.
+    fold_tier: Optional[str] = None
+    fold_decline_reason: Optional[str] = None
     #: Supervision work this aggregate's fan-out(s) paid for: task
     #: re-submissions after infra faults, and full pool respawns.
     worker_retries: int = 0
@@ -140,6 +146,8 @@ class AggregateTimings:
         if other.fallback_reason is not None and self.fallback_reason is None:
             self.fallback_reason = other.fallback_reason
         self.batch_fallback_reason = self.batch_fallback_reason or other.batch_fallback_reason
+        if self.fold_tier != "batch":  # any group on the batch tier makes the call "batch"
+            self.fold_tier, self.fold_decline_reason = other.fold_tier, other.fold_decline_reason
         self.worker_retries += other.worker_retries
         self.pool_respawns += other.pool_respawns
 
@@ -420,6 +428,19 @@ class SegmentedAggregator:
             and length >= self._BATCH_MIN_ROWS
         )
 
+    def note_tier(self, timings: AggregateTimings, longest: int) -> None:
+        """Record on ``timings`` which tier folds a call whose longest stream
+        has ``longest`` rows, and the first guard that refused the batch one."""
+        timings.batch_fallback_reason = reason = self.batch_fallback_reason
+        if not self.use_batch:
+            reason = "compiled_execution=False"
+        elif self.definition.batch_transition is None:
+            reason = "no batch kernel"
+        elif longest < self._BATCH_MIN_ROWS:
+            reason = "below _BATCH_MIN_ROWS"
+        timings.fold_tier = "batch" if reason is None else "rows"
+        timings.fold_decline_reason = reason
+
     def _fold_columns(
         self, columns: Sequence[Sequence[Any]], length: int, prefiltered: bool = False
     ) -> Any:
@@ -453,12 +474,16 @@ class SegmentedAggregator:
         if streams and all(isinstance(stream, ColumnBatch) for stream in streams):
             width = len(streams[0].columns)
             if all(len(stream.columns) == width for stream in streams):
-                merged = tuple(
-                    [value for stream in streams for value in stream.columns[i]]
-                    for i in range(width)
-                )
+
+                def fused(parts: Sequence[Sequence[Any]]) -> Sequence[Any]:
+                    if all(isinstance(part, ConstantColumn) for part in parts):
+                        # One plan-time constant on every segment stays one.
+                        return ConstantColumn(parts[0].value, sum(map(len, parts)))
+                    return [value for part in parts for value in part]
+
                 return ColumnBatch(
-                    merged, prefiltered=all(stream.prefiltered for stream in streams)
+                    tuple(fused([stream.columns[i] for stream in streams]) for i in range(width)),
+                    prefiltered=all(stream.prefiltered for stream in streams),
                 )
         all_rows: List[Sequence[Any]] = []
         for stream in streams:
@@ -495,7 +520,9 @@ class SegmentedAggregator:
             state = self._fold_stream(combined)
             timings.per_segment_seconds = [time.perf_counter() - start]
             timings.rows_per_segment = [len(combined)]
+            longest = len(combined)
         else:
+            longest = max(len(stream) for stream in segment_streams)
             states = None
             if pool is not None:
                 try:
@@ -536,5 +563,5 @@ class SegmentedAggregator:
         start = time.perf_counter()
         value = self.definition.finalize(state)
         timings.final_seconds = time.perf_counter() - start
-        timings.batch_fallback_reason = self.batch_fallback_reason
+        self.note_tier(timings, longest)
         return value, timings

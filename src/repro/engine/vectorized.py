@@ -36,6 +36,8 @@ import numpy as np
 __all__ = [
     "ColumnBatch",
     "ConstantColumn",
+    "constant_argument",
+    "matrix_argument",
     "strict_filter_columns",
     "builtin_batch_transitions",
 ]
@@ -44,8 +46,9 @@ __all__ = [
 class ConstantColumn(Sequence):
     """A column of one repeated value, stored in O(1) space.
 
-    Used for ``count(*)``'s synthetic ``1`` argument so the columnar fast
-    path never materializes (or null-scans) an N-element list of ones.
+    ``count(*)``'s synthetic ``1`` argument and any aggregate argument that is
+    a plan-time constant (a literal or bound parameter): the columnar path
+    never materializes N copies, and a batch kernel reads ``.value`` once.
     """
 
     __slots__ = ("value", "length")
@@ -71,6 +74,25 @@ class ConstantColumn(Sequence):
         # O(1) wire format regardless of length (slots classes need explicit
         # support anyway; the worker pool ships these for count(*)).
         return (ConstantColumn, (self.value, self.length))
+
+
+def constant_argument(column: Sequence[Any]) -> Any:
+    """The one value of a batch-kernel argument that must not vary by row: the
+    engine hands a plan-time constant over as a :class:`ConstantColumn`.
+    Anything else may vary, so the kernel declines (the row fold takes over)."""
+    if not isinstance(column, ConstantColumn):
+        raise TypeError("argument is not a plan-time constant")
+    return column.value
+
+
+def matrix_argument(column: Sequence[Any]) -> np.ndarray:
+    """A ``double precision[]`` batch-kernel argument as one ``(rows, width)``
+    float64 array (a stored column's cached view when it has one); raises —
+    row fold — for ragged or NULL-holding input."""
+    matrix = np.asarray(column, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError("batch kernel needs uniform-width arrays")
+    return matrix
 
 
 class ColumnBatch:
@@ -190,10 +212,14 @@ def strict_filter_columns(
             nulls = positions if nulls is None else nulls | positions
     if not nulls:
         return columns, len(columns[0])
+    kept = len(columns[0]) - len(nulls)
     filtered = tuple(
-        [value for i, value in enumerate(column) if i not in nulls] for column in columns
+        ConstantColumn(column.value, kept)  # stays a constant for the batch kernels
+        if isinstance(column, ConstantColumn)
+        else [value for i, value in enumerate(column) if i not in nulls]
+        for column in columns
     )
-    return filtered, len(columns[0]) - len(nulls)
+    return filtered, kept
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +311,7 @@ def _bool_batch(combine: Callable[[Sequence[bool]], bool]):
 def _vector_sum_batch(state: Any, values: Sequence[Any]) -> Any:
     if not len(values):
         return state
-    stacked = np.asarray(list(values), dtype=np.float64)
-    if stacked.ndim != 2:
-        raise ValueError("vector_sum batch needs uniform-length arrays")
-    total = stacked.sum(axis=0)
+    total = matrix_argument(values).sum(axis=0)
     if state is None:
         return total
     return state + total

@@ -10,7 +10,8 @@ are provided, matching the Section 4.3.1 discussion:
 ``implicit``
     Assignments are never stored; the convergence test recomputes the closest
     centroid under both the old and the new positions (two closest-centroid
-    computations per point per iteration).
+    computations per point per iteration) — one pass of a second mergeable
+    aggregate, ``kmeans_reassigned``.
 ``explicit``
     A ``centroid_id`` column on the points table is refreshed each iteration
     with ``UPDATE points SET centroid_id = closest_column(centroids, coords)``,
@@ -28,6 +29,7 @@ import numpy as np
 from ..driver import validate_column_type, validate_columns_exist, validate_table_exists
 from ..errors import ValidationError
 from ..engine.aggregates import AggregateDefinition
+from ..engine.vectorized import constant_argument, matrix_argument
 
 __all__ = ["KMeansResult", "install_kmeans", "train", "assign"]
 
@@ -59,22 +61,61 @@ def _closest(centroids: np.ndarray, point: np.ndarray) -> int:
     return int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
 
 
+_DISTANCE_CHUNK_ROWS = 4096
+
+
+def _squared_distances(centroids: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The n×k matrix whose row ``i`` is what :func:`_closest` takes the
+    ``argmin`` of for point ``i`` (the same differences, summed the same way)."""
+    distances = np.empty((len(points), len(centroids)), dtype=np.float64)
+    for low in range(0, len(points), _DISTANCE_CHUNK_ROWS):  # bounds the n×k×d temporary
+        chunk = slice(low, low + _DISTANCE_CHUNK_ROWS)
+        diffs = centroids[None, :, :] - points[chunk, None, :]
+        np.einsum("nkd,nkd->nk", diffs, diffs, out=distances[chunk])
+    return distances
+
+
+def _centroid_matrix(centroids_flat, k, dimension: int) -> np.ndarray:
+    return np.asarray(centroids_flat, dtype=np.float64).reshape(int(k), dimension)
+
+
+def _empty_step_state(k: int, dimension: int) -> dict:
+    return {
+        "sums": np.zeros((k, dimension), dtype=np.float64),
+        "counts": np.zeros(k, dtype=np.int64),
+        "objective": 0.0,
+    }
+
+
 def _kmeans_step_transition(state, coords, centroids_flat, k):
     """Accumulate per-centroid sums and counts for one point."""
     point = np.asarray(coords, dtype=np.float64)
     k = int(k)
-    centroids = np.asarray(centroids_flat, dtype=np.float64).reshape(k, point.shape[0])
+    centroids = _centroid_matrix(centroids_flat, k, point.shape[0])
     if state is None:
-        state = {
-            "sums": np.zeros((k, point.shape[0]), dtype=np.float64),
-            "counts": np.zeros(k, dtype=np.int64),
-            "objective": 0.0,
-        }
+        state = _empty_step_state(k, point.shape[0])
     index = _closest(centroids, point)
     state["sums"][index] += point
     state["counts"][index] += 1
     difference = point - centroids[index]
     state["objective"] += float(difference @ difference)
+    return state
+
+
+def _kmeans_step_batch(state, coords_column, centroids_column, k_column):
+    """A segment's points in one call: one n×k distance matrix, ``argmin``,
+    and per-centroid sums by ``np.add.at`` (which adds in row order, as the
+    row fold does)."""
+    points = matrix_argument(coords_column)
+    k = int(constant_argument(k_column))
+    centroids = _centroid_matrix(constant_argument(centroids_column), k, points.shape[1])
+    if state is None:
+        state = _empty_step_state(k, points.shape[1])
+    distances = _squared_distances(centroids, points)
+    closest = distances.argmin(axis=1)
+    np.add.at(state["sums"], closest, points)
+    state["counts"] += np.bincount(closest, minlength=k)
+    state["objective"] += float(distances.min(axis=1).sum())
     return state
 
 
@@ -99,8 +140,43 @@ def _kmeans_step_final(state):
     }
 
 
+def _reassigned_transition(state: int, coords, old_flat, new_flat, k) -> int:
+    """Count a point whose closest centroid differs between two centroid sets
+    (the implicit-assignment convergence test of Section 4.3.1)."""
+    point = np.asarray(coords, dtype=np.float64)
+    old = _centroid_matrix(old_flat, k, point.shape[0])
+    new = _centroid_matrix(new_flat, k, point.shape[0])
+    return state + (_closest(old, point) != _closest(new, point))
+
+
+def _reassigned_batch(state: int, coords_column, old_column, new_column, k_column) -> int:
+    points = matrix_argument(coords_column)
+    k = constant_argument(k_column)
+    old = _centroid_matrix(constant_argument(old_column), k, points.shape[1])
+    new = _centroid_matrix(constant_argument(new_column), k, points.shape[1])
+    moved = _squared_distances(old, points).argmin(axis=1) != _squared_distances(
+        new, points
+    ).argmin(axis=1)
+    return state + int(np.count_nonzero(moved))
+
+
+def _reassigned_merge(a: int, b: int) -> int:
+    return a + b
+
+
+def closest_row(centroids_flat, k, point) -> int:
+    """``kmeans_closest_centroid``: ``closest_column`` over a centroid matrix
+    flattened row-major plus ``k``."""
+    point = np.asarray(point, dtype=np.float64)
+    return _closest(_centroid_matrix(centroids_flat, k, point.shape[0]), point)
+
+
 def install_kmeans(database) -> None:
-    """Register the per-iteration aggregate and the ``closest_column`` helper UDF."""
+    """Register the per-iteration aggregates and the ``closest_column`` helper UDF.
+
+    Everything registered is module-level, so a repeated install is a catalog
+    no-op and the aggregates ship to ``parallel=N`` workers.
+    """
     database.catalog.register_aggregate(
         AggregateDefinition(
             "kmeans_step",
@@ -109,15 +185,19 @@ def install_kmeans(database) -> None:
             final=_kmeans_step_final,
             initial_state=None,
             strict=True,
+            batch_transition=_kmeans_step_batch,
         )
     )
-    # closest_column(a, b) is installed among the engine builtins already; the
-    # variant here takes the centroid matrix flattened row-major plus k.
-    def closest_row(centroids_flat, k, point) -> int:
-        point = np.asarray(point, dtype=np.float64)
-        centroids = np.asarray(centroids_flat, dtype=np.float64).reshape(int(k), point.shape[0])
-        return _closest(centroids, point)
-
+    database.catalog.register_aggregate(
+        AggregateDefinition(
+            "kmeans_reassigned",
+            _reassigned_transition,
+            merge=_reassigned_merge,
+            initial_state=0,
+            strict=True,
+            batch_transition=_reassigned_batch,
+        )
+    )
     database.create_function("kmeans_closest_centroid", closest_row, return_type="integer")
 
 
@@ -280,12 +360,12 @@ def _count_reassignments_explicit(
 def _count_reassignments_implicit(
     database, source_table, coords_column, old_centroids, new_centroids
 ) -> int:
-    """Two closest-centroid computations per point (old and new positions)."""
+    """Two closest-centroid computations per point (old and new positions),
+    one aggregate pass."""
     return int(
         database.query_scalar(
-            f"SELECT count(*) FROM {source_table} WHERE "
-            f"kmeans_closest_centroid(%(old)s, %(k)s, {coords_column}) != "
-            f"kmeans_closest_centroid(%(new)s, %(k)s, {coords_column})",
+            f"SELECT kmeans_reassigned({coords_column}, %(old)s, %(new)s, %(k)s) "
+            f"FROM {source_table}",
             {
                 "old": old_centroids.ravel(),
                 "new": new_centroids.ravel(),

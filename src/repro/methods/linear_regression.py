@@ -41,6 +41,7 @@ from ..abstraction import (
 from ..driver import validate_column_type, validate_columns_exist, validate_table_exists
 from ..errors import ValidationError
 from ..engine.aggregates import AggregateDefinition
+from ..engine.vectorized import matrix_argument
 
 __all__ = [
     "LinearRegressionResult",
@@ -150,9 +151,7 @@ def _batch_transition_optimized(
     optimized kernel's ``batch_transition``; the engine falls back to the
     row-at-a-time fold if this raises (e.g. ragged feature vectors).
     """
-    matrix = np.asarray(x_column, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("linregr batch update needs uniform-width feature vectors")
+    matrix = matrix_argument(x_column)
     responses = np.asarray(y_column, dtype=np.float64)
     if not state.is_initialized:
         state.initialize(matrix.shape[1])

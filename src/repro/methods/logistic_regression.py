@@ -20,6 +20,7 @@ from ..abstraction import LogRegrIRLSState, SymmetricPositiveDefiniteEigenDecomp
 from ..driver import IterationController, validate_column_type, validate_columns_exist, validate_table_exists
 from ..errors import ConvergenceError, ValidationError
 from ..engine.aggregates import AggregateDefinition
+from ..engine.vectorized import constant_argument, matrix_argument
 
 __all__ = [
     "LogisticRegressionResult",
@@ -83,6 +84,46 @@ def _irls_transition(state: LogRegrIRLSState, y: float, x, previous_coef) -> Log
     return state
 
 
+def _irls_strict_transition(state, y, x, previous_coef):
+    """The registered transition: strict in ``y`` and ``x``, not in the
+    coefficients (NULL on the first iteration)."""
+    if y is None or x is None:
+        return state
+    return _irls_transition(state, y, x, previous_coef)
+
+
+def _irls_batch(state: LogRegrIRLSState, y_column, x_column, coef_column) -> LogRegrIRLSState:
+    """A segment in one call: ``X @ coef``, then one weighted Gram product.
+
+    Same arithmetic as :func:`_irls_transition` row by row (summed in another
+    order).  The aggregate is not strict, so NULLs reach the kernel: it raises
+    on a NULL ``y`` or ``x`` and the row fold — which skips such rows — takes
+    over.
+    """
+    matrix = matrix_argument(x_column)
+    previous_coef = constant_argument(coef_column)
+    responses = np.asarray(y_column, dtype=np.float64)
+    # numpy reads None as NaN; a genuine NaN label is not NULL (it counts as 1).
+    if np.isnan(responses).any() and any(value is None for value in y_column):
+        raise ValueError("NULL label")
+    if not state.is_initialized:
+        coef = None if previous_coef is None else np.asarray(previous_coef, dtype=np.float64)
+        state.initialize(matrix.shape[1], coef)
+    labels = np.where(responses != 0, 1.0, 0.0)
+    xb = matrix @ state.coef
+    mu = _sigma(xb)
+    weights = np.maximum(mu * (1.0 - mu), 1e-12)
+    z = xb + (labels - mu) / weights
+    state.num_rows += matrix.shape[0]
+    state.x_trans_d_x += (matrix * weights[:, None]).T @ matrix
+    state.x_trans_d_z += matrix.T @ (weights * z)
+    state.log_likelihood += float(
+        labels @ np.log(np.maximum(mu, 1e-300))
+        + (1.0 - labels) @ np.log(np.maximum(1.0 - mu, 1e-300))
+    )
+    return state
+
+
 def _irls_merge(a: LogRegrIRLSState, b: LogRegrIRLSState) -> LogRegrIRLSState:
     return a.merge(b)
 
@@ -105,19 +146,14 @@ def _irls_final(state: LogRegrIRLSState) -> Optional[Dict[str, object]]:
 
 def install_logistic_regression(database, *, name: str = "logregr_irls_step") -> None:
     """Register the per-iteration IRLS aggregate (strict in y and x, not in the state)."""
-
-    def transition(state, y, x, previous_coef):
-        if y is None or x is None:
-            return state
-        return _irls_transition(state, y, x, previous_coef)
-
     definition = AggregateDefinition(
         name,
-        transition,
+        _irls_strict_transition,
         merge=_irls_merge,
         final=_irls_final,
         initial_state=LogRegrIRLSState,
         strict=False,
+        batch_transition=_irls_batch,
     )
     database.catalog.register_aggregate(definition)
 

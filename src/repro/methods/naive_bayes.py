@@ -20,6 +20,7 @@ import numpy as np
 from ..driver import validate_column_type, validate_columns_exist, validate_table_exists
 from ..errors import ValidationError
 from ..engine.aggregates import AggregateDefinition
+from ..engine.vectorized import matrix_argument
 
 __all__ = ["GaussianNaiveBayesModel", "CategoricalNaiveBayesModel", "train_gaussian", "train_categorical"]
 
@@ -101,6 +102,18 @@ def _gauss_transition(state, x):
     return state
 
 
+def _gauss_batch(state, x_column):
+    """Column moments of a whole group slice at once."""
+    matrix = matrix_argument(x_column)
+    if state is None:
+        width = matrix.shape[1]
+        state = {"n": 0, "sum": np.zeros(width), "sum_sq": np.zeros(width)}
+    state["n"] += matrix.shape[0]
+    state["sum"] += matrix.sum(axis=0)
+    state["sum_sq"] += (matrix * matrix).sum(axis=0)
+    return state
+
+
 def _gauss_merge(a, b):
     if a is None:
         return b
@@ -131,6 +144,7 @@ def train_gaussian(
             merge=_gauss_merge,
             initial_state=None,
             strict=True,
+            batch_transition=_gauss_batch,
         )
     )
     records = database.query_dicts(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
@@ -24,8 +25,14 @@ from ...engine.aggregates import AggregateDefinition
 __all__ = ["CountMinSketch", "CountMinKernel", "install_countmin", "sketch_column"]
 
 
-def _hash(value: Any, row: int, width: int) -> int:
-    digest = hashlib.blake2b(f"{row}:{value!r}".encode("utf-8"), digest_size=8).digest()
+def _encoded(value: Any) -> bytes:
+    """The bytes a value is hashed as (``repr`` keeps 1, 1.0 and '1' apart)."""
+    return repr(value).encode("utf-8")
+
+
+def _hash(text: bytes, row: int, width: int) -> int:
+    """Counter cell of an :func:`_encoded` value in sketch row ``row``."""
+    digest = hashlib.blake2b(b"%d:" % row + text, digest_size=8).digest()
     return int.from_bytes(digest, "little") % width
 
 
@@ -53,15 +60,27 @@ class CountMinSketch:
         return self.counters.shape[1]
 
     def add(self, value: Any, count: int = 1) -> "CountMinSketch":
+        return self._add_counts({_encoded(value): count})
+
+    def add_many(self, values: Iterable[Any]) -> "CountMinSketch":
+        """Add every value, hashing each *distinct* one once per row."""
+        return self._add_counts(Counter(map(_encoded, values)))
+
+    def _add_counts(self, counts) -> "CountMinSketch":
+        """Add ``{encoded value: multiplicity}`` (integer addition is exact, so
+        grouping equal values changes no counter)."""
+        multiplicities = list(counts.values())
         for row in range(self.depth):
-            self.counters[row, _hash(value, row, self.width)] += count
-        self.total += count
+            cells = [_hash(text, row, self.width) for text in counts]
+            np.add.at(self.counters[row], cells, multiplicities)
+        self.total += sum(multiplicities)
         return self
 
     def estimate(self, value: Any) -> int:
         """Point frequency estimate (never underestimates)."""
+        text = _encoded(value)
         return int(
-            min(self.counters[row, _hash(value, row, self.width)] for row in range(self.depth))
+            min(self.counters[row, _hash(text, row, self.width)] for row in range(self.depth))
         )
 
     def merge(self, other: "CountMinSketch") -> "CountMinSketch":
@@ -93,6 +112,11 @@ class CountMinKernel:
             state = CountMinSketch.empty(eps=self.eps, delta=self.delta)
         return state.add(value)
 
+    def batch_transition(self, state: Optional[CountMinSketch], values) -> CountMinSketch:
+        if state is None:
+            state = CountMinSketch.empty(eps=self.eps, delta=self.delta)
+        return state.add_many(values)
+
     def merge(self, a: Optional[CountMinSketch], b: Optional[CountMinSketch]):
         if a is None:
             return b
@@ -106,7 +130,12 @@ def install_countmin(database, *, eps: float = 0.01, delta: float = 0.01, name: 
     kernel = CountMinKernel(eps=eps, delta=delta)
     database.catalog.register_aggregate(
         AggregateDefinition(
-            name, kernel.transition, merge=kernel.merge, initial_state=None, strict=True
+            name,
+            kernel.transition,
+            merge=kernel.merge,
+            initial_state=None,
+            strict=True,
+            batch_transition=kernel.batch_transition,
         )
     )
 

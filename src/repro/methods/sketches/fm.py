@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -26,15 +26,15 @@ _PHI = 0.77351
 _BITMAP_BITS = 64
 
 
-def _hash(value: Any, map_index: int) -> int:
-    digest = hashlib.blake2b(f"{map_index}:{value!r}".encode("utf-8"), digest_size=8).digest()
+def _encoded(value: Any) -> bytes:
+    """The bytes a value is hashed as (``repr`` keeps 1, 1.0 and '1' apart)."""
+    return repr(value).encode("utf-8")
+
+
+def _hash(text: bytes, map_index: int) -> int:
+    """64-bit hash of an :func:`_encoded` value under hash function ``map_index``."""
+    digest = hashlib.blake2b(b"%d:" % map_index + text, digest_size=8).digest()
     return int.from_bytes(digest, "little")
-
-
-def _lowest_set_bit(value: int) -> int:
-    if value == 0:
-        return _BITMAP_BITS - 1
-    return (value & -value).bit_length() - 1
 
 
 @dataclass
@@ -54,9 +54,19 @@ class FMSketch:
         return self.bitmaps.shape[0]
 
     def add(self, value: Any) -> "FMSketch":
+        return self.add_many((value,))
+
+    def add_many(self, values: Iterable[Any]) -> "FMSketch":
+        """Add every value, hashing each *distinct* one once per map (OR is
+        idempotent): per map, the lowest set bit of each hash — the top bit
+        for a zero hash — is set in the bitmap."""
+        texts = set(map(_encoded, values))
         for map_index in range(self.num_maps):
-            bit = _lowest_set_bit(_hash(value, map_index))
-            self.bitmaps[map_index] |= np.uint64(1 << bit)
+            bits = 0
+            for text in texts:
+                hashed = _hash(text, map_index)
+                bits |= (hashed & -hashed) or 1 << (_BITMAP_BITS - 1)
+            self.bitmaps[map_index] |= np.uint64(bits)
         return self
 
     def merge(self, other: "FMSketch") -> "FMSketch":
@@ -94,6 +104,11 @@ class FMSketchKernel:
             state = FMSketch.empty(self.num_maps)
         return state.add(value)
 
+    def batch_transition(self, state: Optional[FMSketch], values) -> FMSketch:
+        if state is None:
+            state = FMSketch.empty(self.num_maps)
+        return state.add_many(values)
+
     def merge(self, a: Optional[FMSketch], b: Optional[FMSketch]):
         if a is None:
             return b
@@ -107,7 +122,12 @@ def install_fm(database, *, num_maps: int = 64, name: str = "fmsketch") -> None:
     kernel = FMSketchKernel(num_maps=num_maps)
     database.catalog.register_aggregate(
         AggregateDefinition(
-            name, kernel.transition, merge=kernel.merge, initial_state=None, strict=True
+            name,
+            kernel.transition,
+            merge=kernel.merge,
+            initial_state=None,
+            strict=True,
+            batch_transition=kernel.batch_transition,
         )
     )
 

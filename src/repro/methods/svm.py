@@ -113,18 +113,20 @@ def _svm_epoch_final(state):
     }
 
 
+def _svm_strict_transition(state, y, x, model_in, stepsize, regularization, epsilon):
+    """The registered transition: strict in ``y`` and ``x`` only (the model is
+    NULL on the first epoch, epsilon for classification)."""
+    if y is None or x is None:
+        return state
+    return _svm_epoch_transition(state, y, x, model_in, stepsize, regularization, epsilon)
+
+
 def install_svm(database) -> None:
     """Register the per-epoch IGD aggregate."""
-
-    def transition(state, y, x, model_in, stepsize, regularization, epsilon):
-        if y is None or x is None:
-            return state
-        return _svm_epoch_transition(state, y, x, model_in, stepsize, regularization, epsilon)
-
     database.catalog.register_aggregate(
         AggregateDefinition(
             "svm_igd_epoch",
-            transition,
+            _svm_strict_transition,
             merge=_svm_epoch_merge,
             final=_svm_epoch_final,
             initial_state=None,

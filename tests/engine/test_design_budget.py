@@ -79,7 +79,29 @@ def test_expressions_are_evaluated_in_one_module():
 #: ``_CallSpec``.  What could not go: the row loop is the
 #: ``compiled_execution=False`` oracle the issue keeps, and ``_absorb_row`` is
 #: still the views' INSERT fold.
-ENGINE_LINES_CEILING = 16_164
+#:
+#: 16,164 before PR 14, whose issue budgeted +120; it landed at +156, so that
+#: budget is **not met** (+177 before review; the review's cuts took out the
+#: ``AggregateKernel`` base class, an EXPLAIN helper and a lone-stream
+#: shortcut, and its two fixes — no matrix view for a selective read, constants
+#: surviving the serial fusion — put 10 lines back).  What the lines buy: every
+#: hot method aggregate on the batch tier through the existing seam, no new
+#: flag or execution path (``paper_methods`` 20 -> 61 ops/s).  By file:
+#: ``columnar.py`` +38 (``ArrayColumn`` and its matrix view); ``grouping.py``
+#: +35 (constants and array views on the columnar frame — ``source``,
+#: ``_argument_at``, ``_group_slices`` — with ``count(*)`` now an ordinary
+#: constant argument; ``_group_slices`` rebuilding constants is kept because the
+#: spine needs it: ``groupby_high`` reads 55.1 ms with plain slicing, 52.0 with
+#: an inline type test, 48.0 with it, 49.6 at the parent); ``segments.py`` +27
+#: (``fold_tier`` / ``fold_decline_reason`` / ``note_tier`` +23, the serial
+#: fusion keeping a constant column constant +4); ``catalog.py`` +24 (identical
+#: re-registration is a no-op; bound methods compare by function, class and
+#: ``vars`` of the kernel object); ``vectorized.py`` +23
+#: (``constant_argument``, ``matrix_argument``, ``ConstantColumn`` surviving
+#: the strict filter); ``planner.py`` +9 (``constant_value`` public,
+#: array-valued and guarding volatile calls itself +7, the ``Fold:`` lines +7,
+#: ANALYZE on the FM batch add -5).
+ENGINE_LINES_CEILING = 16_320
 
 
 def test_engine_line_count_stays_under_its_ceiling():

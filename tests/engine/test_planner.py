@@ -98,6 +98,41 @@ class TestStatistics:
         label = statistics.column("label")
         assert label.kind == "str"
 
+    def test_distinct_estimate_is_the_row_at_a_time_fold(self):
+        """ANALYZE routes its sample through the FM sketch's batch add; the
+        estimate (hence every statistics snapshot and EXPLAIN) is the one the
+        value-by-value transition fold gives."""
+        from repro.engine.planner import FM_NUM_MAPS, _estimate_distinct
+        from repro.methods.sketches.fm import FMSketchKernel
+
+        samples = [
+            list(range(4096)),
+            [i % 20 for i in range(1000)],
+            [f"l{i % 5}" for i in range(300)],
+            [1, 1.0, True, "1", 2.5, 2.5, -0.0, 0.0],
+            [float(i) / 7 for i in range(50)],
+        ]
+        kernel = FMSketchKernel(num_maps=FM_NUM_MAPS)
+        for sample in samples:
+            state = None
+            for value in sample:
+                state = kernel.transition(state, value)
+            for population in (len(sample), 10 * len(sample)):
+                estimate = min(float(state.estimate()), float(len(sample)))
+                if population > len(sample) and estimate >= 0.75 * len(sample):
+                    estimate *= population / len(sample)
+                expected = max(1.0, min(estimate, float(population)))
+                assert _estimate_distinct(sample, population) == expected
+        db = _stats_db()
+        db.execute("ANALYZE s")
+        # The snapshot the one-value-at-a-time fold produced before the change.
+        assert [(row["columnname"], row["n_distinct"]) for row in db.catalog.statistics("s")] == [
+            ("grp", 19.807956576097503),
+            ("id", 1000.0),
+            ("label", 5.400182453632991),
+            ("v", 822.0077307101702),
+        ]
+
     def test_staleness_tracking(self):
         db = _stats_db()
         db.execute("ANALYZE s")

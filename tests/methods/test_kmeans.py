@@ -31,6 +31,59 @@ class TestTraining:
         history = result.objective_history
         assert all(later <= earlier + 1e-6 for earlier, later in zip(history, history[1:]))
 
+    @pytest.mark.parametrize("strategy", ["implicit", "explicit"])
+    def test_objective_equals_recomputed_inertia(self, points_db, strategy):
+        """Oracle: the reported objective is the inertia numpy computes for
+        the returned centroids, and Lloyd's iterations never increase it."""
+        result = kmeans.train(
+            points_db, "pts", k=3, seed=5, max_iterations=6, min_reassignment_fraction=0.0,
+            assignment_strategy=strategy,
+        )
+        points = points_db.blob_points
+        distances = ((points[:, None, :] - result.centroids[None, :, :]) ** 2).sum(axis=2)
+        assert result.objective == pytest.approx(float(distances.min(axis=1).sum()), rel=1e-9)
+        history = result.objective_history + [result.objective]
+        assert all(later <= earlier * (1 + 1e-12) for earlier, later in zip(history, history[1:]))
+        # The reassignment counts are those of numpy's own argmin, pass by pass.
+        assert result.reassignments_history[-1] == 0 or result.num_iterations == 6
+
+    def test_reassignment_count_matches_numpy(self, points_db):
+        kmeans.install_kmeans(points_db)
+        points = points_db.blob_points
+        old, new = points[:3], points[3:6] + 0.25
+        counted = points_db.query_scalar(
+            "SELECT kmeans_reassigned(coords, %(old)s, %(new)s, %(k)s) FROM pts",
+            {"old": old.ravel(), "new": new.ravel(), "k": 3},
+        )
+
+        def closest(centroids):
+            return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+        assert counted == int((closest(old) != closest(new)).sum())
+
+    def test_training_leaves_the_catalog_and_plan_cache_alone(self):
+        """A method call must not flush cached plans: the second ``train``
+        re-registers identical definitions, which is a catalog no-op."""
+        from repro import Database
+        from repro.datasets import load_points_table, make_blobs
+
+        database = Database(num_segments=2, plan_cache=16)
+        load_points_table(database, "pts", make_blobs(120, 2, 3, seed=17)[0])
+        # Twice: plans the first call cached before its own install step are
+        # invalidated by that step, once.
+        for _ in range(2):
+            kmeans.train(database, "pts", k=3, seed=1, max_iterations=2)
+        probe = "SELECT count(*) FROM pts WHERE id < 50"
+        assert database.query_scalar(probe) == 50
+        version, before = database.catalog.version, database.plan_cache.stats()
+        kmeans.train(database, "pts", k=3, seed=1, max_iterations=2)
+        kmeans.assign(database, kmeans.train(database, "pts", k=3, seed=1, max_iterations=2), "pts")
+        assert database.catalog.version == version
+        assert database.query_scalar(probe) == 50
+        after = database.plan_cache.stats()
+        assert after["invalidations"] == before["invalidations"]
+        assert after["hits"] > before["hits"]
+
     def test_explicit_and_implicit_strategies_agree(self, points_db):
         implicit = kmeans.train(points_db, "pts", k=3, seed=3, assignment_strategy="implicit")
         explicit = kmeans.train(points_db, "pts", k=3, seed=3, assignment_strategy="explicit")

@@ -74,6 +74,15 @@ class TestTraining:
             results.append(linear_regression.train(db, "regr").coef)
         np.testing.assert_allclose(results[0], results[1], rtol=1e-9)
 
+    def test_training_twice_leaves_the_catalog_version_alone(self, regression_db):
+        linear_regression.train(regression_db, "regr")
+        version = regression_db.catalog.version
+        linear_regression.train(regression_db, "regr")
+        assert regression_db.catalog.version == version
+        # A different kernel is a different definition: that one does register.
+        linear_regression.train(regression_db, "regr", kernel="naive")
+        assert regression_db.catalog.version == version + 1
+
     def test_predict_in_database(self, regression_db):
         model = linear_regression.train(regression_db, "regr")
         predictions = linear_regression.predict(regression_db, model, "regr")

@@ -27,6 +27,24 @@ class TestTraining:
         assert accuracy > 0.5
         assert accuracy >= oracle - 0.05
 
+    def test_matches_a_numpy_newton_iteration(self, logistic_db):
+        """Oracle: IRLS is Newton's method on the log-likelihood, so each pass
+        must land where a plain numpy Newton step lands."""
+        data = logistic_db.logistic_data
+        features, labels = data.features, data.labels
+        coef = np.zeros(features.shape[1])
+        for iterations in range(1, 6):
+            p = 1.0 / (1.0 + np.exp(-(features @ coef)))
+            hessian = (features * (p * (1.0 - p))[:, None]).T @ features
+            coef = coef + np.linalg.solve(hessian, features.T @ (labels - p))
+            model = logistic_regression.train(
+                logistic_db, "logi", max_iterations=iterations, tolerance=0.0
+            )
+            assert model.num_iterations == iterations
+            np.testing.assert_allclose(model.coef, coef, rtol=1e-8, atol=1e-10)
+        likelihood = float(np.sum(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
+        assert model.log_likelihood == pytest.approx(likelihood, rel=1e-9)
+
     def test_statistics_fields(self, logistic_db):
         model = logistic_regression.train(logistic_db, "logi")
         width = logistic_db.logistic_data.features.shape[1]
