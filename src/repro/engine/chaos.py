@@ -262,7 +262,7 @@ class _ChaosClient:
         if self._client is not None:
             try:
                 self._client.close()
-            except Exception:
+            except OSError:
                 pass
             self._client = None
 
@@ -420,6 +420,8 @@ def run_chaos(
     db.execute("CREATE TABLE chaos (k INTEGER, c INTEGER, v INTEGER)")
     for i in range(_SEED_ROWS):
         db.execute(f"INSERT INTO chaos VALUES ({10_000_000 + i}, {_SEED_OWNER}, {i})")
+    # Point reads by key then answer on the server's event loop, under faults.
+    db.execute("CREATE INDEX chaos_k ON chaos (k)")
     # A continuously maintained view over the chaos table: every INSERT folds
     # a delta into its group states, DELETE/UPDATE leave it stale, and the
     # post-drain check asserts its contents still match the defining query.

@@ -198,12 +198,13 @@ class Database:
     # ------------------------------------------------------------------ SQL API
 
     def execute(self, sql: str, parameters: Optional[Dict[str, Any]] = None) -> ResultSet:
-        """Parse and execute a single SQL statement."""
-        if self.plan_cache is not None:
-            return self._execute_via_cache(sql, parameters)
-        statement = parse_statement(sql)
-        result = self.executor.execute(statement, parameters)
-        return self._record_stats(result)
+        """Parse and execute a single SQL statement — through the plan cache,
+        if there is one and the shape is cacheable (not DDL or EXPLAIN)."""
+        normalized = None if self.plan_cache is None else normalize_statement(sql)
+        if normalized is None:
+            return self._record_stats(self.executor.execute(parse_statement(sql), parameters))
+        entry, merged = self.resolve(normalized.fingerprint, normalized.values, parameters)
+        return self.execute_resolved(normalized.fingerprint, entry, merged)
 
     def _record_stats(self, result: ResultSet) -> ResultSet:
         # Every result now carries stats (DML included); ``last_stats`` keeps
@@ -213,36 +214,30 @@ class Database:
             self.last_stats = result.stats
         return result
 
-    def _execute_via_cache(
-        self, sql: str, parameters: Optional[Dict[str, Any]]
-    ) -> ResultSet:
-        """Plan-cache execution path (``plan_cache > 0``).
+    def resolve(
+        self, fingerprint: Optional[str], values: Dict[str, Any], parameters: Optional[Dict[str, Any]]
+    ) -> Tuple[Optional[CachedPlan], Optional[Dict[str, Any]]]:
+        """``(plan-cache hit or None, merged parameters)`` for a normalized
+        statement, for :meth:`execute_resolved`.  ``execute``, prepared
+        statements and the server's event loop (which must not parse) all
+        resolve here.  Literal ``values`` override caller parameters."""
+        merged = {**(parameters or {}), **values} if values else parameters
+        if fingerprint is None or self.plan_cache is None:
+            return None, merged
+        return self.plan_cache.lookup(fingerprint, self.catalog), merged
 
-        Uncacheable shapes (DDL, EXPLAIN, parameter-name collisions) take
-        the ordinary parse-and-execute path; cacheable ones run the cached
-        statement with the extracted literals bound as synthetic parameters.
-        """
-        entry: Optional[CachedPlan] = None
-        merged = parameters
-        if not (parameters and any(k.startswith(SYNTHETIC_PREFIX) for k in parameters)):
-            normalized = normalize_statement(sql)
-            if normalized is not None:
-                entry = self.plan_cache.get_or_create(normalized.fingerprint, self.catalog)
-                merged = dict(parameters) if parameters else {}
-                merged.update(normalized.values)
-        if entry is None:
-            statement = parse_statement(sql)
-            return self._record_stats(self.executor.execute(statement, parameters))
-        return self._record_stats(self._run_cached(entry, merged))
-
-    def _run_cached(
-        self, entry: CachedPlan, parameters: Optional[Dict[str, Any]]
+    def execute_resolved(
+        self, fingerprint: str, entry: Optional[CachedPlan], parameters: Optional[Dict[str, Any]]
     ) -> ResultSet:
-        if entry.simple_plan is not None:
-            result = entry.simple_plan.execute(self.catalog, parameters)
-            if result is not None:
-                return result
-        return self.executor.execute(entry.statement, parameters)
+        """Run what :meth:`resolve` returned, possibly on another thread: a
+        miss is parsed here, and an entry DDL staled meanwhile is rebuilt."""
+        if entry is None or not entry.is_valid(self.catalog):
+            entry = self.plan_cache.get_or_create(fingerprint, self.catalog)
+        plan = entry.simple_plan
+        result = None if plan is None else plan.execute(self.catalog, parameters)
+        if not isinstance(result, ResultSet):
+            result = self.executor.execute(entry.statement, parameters)
+        return self._record_stats(result)
 
     def prepare(self, sql: str) -> "PreparedStatement":
         """Parse (and cache the plan for) a statement once, for many executions.
@@ -254,21 +249,13 @@ class Database:
         Works with or without a plan cache (without one, the prepared
         statement simply holds its own parsed AST).
         """
-        normalized = normalize_statement(sql)
+        normalized = None if self.plan_cache is None else normalize_statement(sql)
         if normalized is None:
-            # Uncacheable shape: the prepared statement owns its parsed AST.
+            # No cache, or an uncacheable shape: it owns its parsed AST.
             return PreparedStatement(self, statement=parse_statement(sql))
-        if self.plan_cache is not None:
-            # Parse now (through the cache) so PREPARE surfaces syntax errors.
-            self.plan_cache.get_or_create(normalized.fingerprint, self.catalog)
-            return PreparedStatement(
-                self, fingerprint=normalized.fingerprint, values=normalized.values
-            )
-        return PreparedStatement(
-            self,
-            statement=parse_statement(normalized.fingerprint),
-            values=normalized.values,
-        )
+        # Parse now (through the cache) so PREPARE surfaces syntax errors.
+        self.plan_cache.get_or_create(normalized.fingerprint, self.catalog)
+        return PreparedStatement(self, fingerprint=normalized.fingerprint, values=normalized.values)
 
     def execute_script(self, sql: str, parameters: Optional[Dict[str, Any]] = None) -> List[ResultSet]:
         """Execute a semicolon-separated script; returns one result per statement."""
@@ -527,19 +514,11 @@ class PreparedStatement:
         )
 
     def execute(self, parameters: Optional[Dict[str, Any]] = None) -> ResultSet:
-        merged: Optional[Dict[str, Any]]
-        if self.values:
-            merged = dict(parameters) if parameters else {}
-            merged.update(self.values)
-        else:
-            merged = parameters
         database = self.database
-        if self.fingerprint is not None and database.plan_cache is not None:
-            entry = database.plan_cache.get_or_create(self.fingerprint, database.catalog)
-            return database._record_stats(database._run_cached(entry, merged))
-        return database._record_stats(
-            database.executor.execute(self._statement, merged)
-        )
+        entry, merged = database.resolve(self.fingerprint, self.values, parameters)
+        if self.fingerprint is None:
+            return database._record_stats(database.executor.execute(self._statement, merged))
+        return database.execute_resolved(self.fingerprint, entry, merged)
 
 
 def connect(num_segments: int = 1, **kwargs: Any) -> Database:

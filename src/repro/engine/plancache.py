@@ -18,7 +18,7 @@ This module is that machinery for our engine:
   (CREATE/DROP/ALTER/ANALYZE/UDF registration) or enough DML drift replans
   the shape instead of trusting a stale plan.
 * :class:`SimpleSelectPlan` — a *physical* plan for the hot serving shape
-  (single-table projection with an optional indexable equality WHERE).  A
+  (single-table projection with an indexable equality WHERE).  A
   cache hit on this shape skips the whole executor: probe the secondary
   index, materialize the matching rows, project.  Anything it cannot prove
   safe declines at build or run time and the generic executor runs instead,
@@ -42,7 +42,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .expressions import BinaryOp, ColumnRef, Literal, Parameter, Star
 from .parser import parse_statement
@@ -90,7 +91,7 @@ _CACHEABLE_FIRST_KEYWORDS = {"select", "insert", "update", "delete"}
 _FREEZE_KEYWORDS = {"group", "order", "limit", "offset"}
 
 
-class NormalizedStatement:
+class NormalizedStatement(NamedTuple):
     """The outcome of normalizing one SQL string.
 
     ``fingerprint`` is the parameterized SQL text (also what the cache
@@ -98,11 +99,8 @@ class NormalizedStatement:
     replaced in *this* statement.
     """
 
-    __slots__ = ("fingerprint", "values")
-
-    def __init__(self, fingerprint: str, values: Dict[str, Any]) -> None:
-        self.fingerprint = fingerprint
-        self.values = values
+    fingerprint: str
+    values: Dict[str, Any]
 
 
 def _quote_name(value: str) -> str:
@@ -214,14 +212,7 @@ def referenced_tables(statement: Statement) -> List[str]:
         names.append(statement.table.lower())
     elif isinstance(statement, CreateTableAsStatement):
         walk_select(statement.select)
-    # Preserve first-seen order, drop duplicates.
-    seen = set()
-    ordered = []
-    for name in names:
-        if name not in seen:
-            seen.add(name)
-            ordered.append(name)
-    return ordered
+    return list(dict.fromkeys(names))  # first-seen order, no duplicates
 
 
 def statement_is_read_only(statement: Statement) -> bool:
@@ -246,41 +237,25 @@ def statement_is_read_only(statement: Statement) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True)
 class SimpleSelectPlan:
-    """Executor-bypassing plan for ``SELECT cols FROM t [WHERE col = const]``.
+    """Executor-bypassing plan for ``SELECT cols FROM t WHERE col = const``
+    with a usable index on ``col``.
 
     Built once per cached shape; every execution re-fetches the table from
-    the catalog and declines (returns None) on anything it cannot prove
-    byte-identical to the generic path — the caller then falls back.  The
-    WHERE probe uses a secondary index directly, which is also what makes
-    prepared point lookups ~an-order-of-magnitude cheaper than a full
-    parse→plan→execute round trip.
+    the catalog and declines on anything it cannot prove byte-identical to
+    the generic path — the caller then falls back.  The probe uses the
+    secondary index directly, which is also what makes prepared point
+    lookups ~an-order-of-magnitude cheaper than a full parse→plan→execute
+    round trip, and bounded enough for the server to run on its event loop.
     """
 
-    __slots__ = (
-        "table_name",
-        "column_indices",
-        "output_names",
-        "where_column",
-        "where_param",
-        "where_value",
-    )
-
-    def __init__(
-        self,
-        table_name: str,
-        column_indices: List[int],
-        output_names: List[str],
-        where_column: Optional[int],
-        where_param: Optional[str],
-        where_value: Any,
-    ) -> None:
-        self.table_name = table_name
-        self.column_indices = column_indices
-        self.output_names = output_names
-        self.where_column = where_column
-        self.where_param = where_param
-        self.where_value = where_value
+    table_name: str
+    column_indices: List[int]
+    output_names: List[str]
+    where_column: int
+    where_param: Optional[str]
+    where_value: Any
 
     # -- construction -------------------------------------------------------
 
@@ -340,34 +315,31 @@ class SimpleSelectPlan:
             column_indices.append(index)
             output_names.append(item.alias or expression.name)
 
-        where_column: Optional[int] = None
+        where = statement.where
+        if not isinstance(where, BinaryOp) or where.op != "=":
+            return None
+        left, right = where.left, where.right
+        if isinstance(right, ColumnRef) and not isinstance(left, ColumnRef):
+            left, right = right, left
+        if not isinstance(left, ColumnRef):
+            return None
+        where_column = resolve(left)
+        if where_column is None:
+            return None
         where_param: Optional[str] = None
         where_value: Any = None
-        where = statement.where
-        if where is not None:
-            if not isinstance(where, BinaryOp) or where.op != "=":
-                return None
-            left, right = where.left, where.right
-            if isinstance(right, ColumnRef) and not isinstance(left, ColumnRef):
-                left, right = right, left
-            if not isinstance(left, ColumnRef):
-                return None
-            where_column = resolve(left)
-            if where_column is None:
-                return None
-            if isinstance(right, Literal):
-                where_value = right.value
-            elif isinstance(right, Parameter):
-                where_param = right.name
-            else:
-                return None
-            # Only worthwhile (and only provably scan-order-identical) when a
-            # usable index covers the probed column.
-            if not any(
-                index.usable and index.column_index == where_column
-                for index in table.indexes
-            ):
-                return None
+        if isinstance(right, Literal):
+            where_value = right.value
+        elif isinstance(right, Parameter):
+            where_param = right.name
+        else:
+            return None
+        # Only worthwhile (and only provably scan-order-identical) when a
+        # usable index covers the probed column.
+        if not any(
+            index.usable and index.column_index == where_column for index in table.indexes
+        ):
+            return None
         return SimpleSelectPlan(
             table.name.lower(),
             column_indices,
@@ -380,27 +352,20 @@ class SimpleSelectPlan:
     # -- execution ----------------------------------------------------------
 
     def execute(
-        self, catalog, parameters: Optional[Dict[str, Any]]
-    ) -> Optional[ResultSet]:
-        """Run the plan; None declines to the generic executor."""
+        self, catalog, parameters: Optional[Dict[str, Any]], max_rows: Optional[int] = None
+    ) -> Union[ResultSet, str]:
+        """Run the plan, or say why it declines to the generic executor:
+        ``"probe"`` (table gone, parameter unbound, or no usable index answered,
+        e.g. a cross-kind key) or ``"rows"`` (more than ``max_rows`` matches,
+        counted before any row is read)."""
         if not catalog.has_table(self.table_name):
-            return None  # let the generic path raise the canonical error
+            return "probe"  # let the generic path raise the canonical error
         start = time.perf_counter()
         table = catalog.get_table(self.table_name)
         stats = ExecutionStats(statement_kind="select")
-        if self.where_column is None:
-            rows = [
-                tuple(row[i] for i in self.column_indices)
-                for segment in range(table.num_segments)
-                for row in table.segment_view(segment)
-            ]
-            stats.rows_scanned_per_source.append(len(rows))
-            stats.scan_details.append(ScanDetail(table.name, "seq", len(rows)))
-            stats.total_seconds = time.perf_counter() - start
-            return ResultSet(self.output_names, rows, stats=stats)
         if self.where_param is not None:
             if parameters is None or self.where_param not in parameters:
-                return None  # generic path raises the unbound-parameter error
+                return "probe"  # generic path raises the unbound-parameter error
             value = parameters[self.where_param]
         else:
             value = self.where_value
@@ -408,12 +373,14 @@ class SimpleSelectPlan:
         index_name = None
         for index in table.indexes:
             if index.usable and index.column_index == self.where_column:
+                if max_rows is not None and (index.count_eq(value) or 0) > max_rows:
+                    return "rows"
                 entries = index.probe_eq(value)
                 index_name = index.name
                 if entries is not None:
                     break
         if entries is None:
-            return None  # no usable index left / probe declined: fall back
+            return "probe"  # no usable index left / probe declined: fall back
         rows = []
         for segment, position in entries:
             row = table.segment_view(segment)[position]
@@ -434,34 +401,20 @@ class SimpleSelectPlan:
 class CachedPlan:
     """One cached shape: parsed AST + validity snapshot + optional fast plan."""
 
-    __slots__ = (
-        "fingerprint",
-        "statement",
-        "tables",
-        "read_only",
-        "catalog_version",
-        "table_versions",
-        "matview_versions",
-        "simple_plan",
-        "hits",
-    )
+    __slots__ = ("statement", "catalog_version", "table_versions", "matview_versions", "simple_plan")
 
-    def __init__(self, fingerprint: str, statement: Statement, catalog) -> None:
-        self.fingerprint = fingerprint
+    def __init__(self, statement: Statement, catalog) -> None:
         self.statement = statement
-        self.tables = referenced_tables(statement)
-        self.read_only = statement_is_read_only(statement)
         self.catalog_version = catalog.version
         self.table_versions: Dict[str, Tuple[int, int]] = {}
         self.matview_versions: Dict[str, int] = {}
-        for name in self.tables:
+        for name in referenced_tables(statement):
             if catalog.has_table(name):
                 table = catalog.get_table(name)
                 self.table_versions[name] = (table._data_version, len(table))
             elif catalog.has_matview(name):
                 self.matview_versions[name] = catalog.get_matview(name).version
         self.simple_plan = SimpleSelectPlan.try_build(statement, catalog)
-        self.hits = 0
 
     def is_valid(self, catalog) -> bool:
         """Still safe to reuse?  Any DDL or enough DML drift says no.
@@ -494,11 +447,11 @@ class CachedPlan:
 class PlanCache:
     """LRU cache of :class:`CachedPlan` entries keyed on the fingerprint.
 
-    Thread-safe: the serving layer runs concurrent readers against one
-    shared cache, so all bookkeeping (LRU order, eviction, counters)
-    happens under an internal lock.  Entry *parsing* happens under the lock
-    too — serializing the occasional miss is far cheaper than letting two
-    threads race a ``del``/``popitem`` on the same OrderedDict.
+    Thread-safe: the server's event loop and its worker threads share one
+    cache, so bookkeeping (LRU order, eviction, counters) happens under an
+    internal lock — but not parsing, so a lookup never waits behind a parse.
+    Two threads missing one fingerprint both parse it; the later insert wins
+    (the plans are equal).  ``misses`` counts the plans built.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -511,53 +464,32 @@ class PlanCache:
         self.misses = 0
         self.invalidations = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def lookup(self, fingerprint: str, catalog) -> Optional[CachedPlan]:
         """A valid entry for the fingerprint, or None (stale entries evict)."""
         with self._lock:
-            return self._lookup_locked(fingerprint, catalog)
-
-    def _lookup_locked(self, fingerprint: str, catalog) -> Optional[CachedPlan]:
-        entry = self._entries.get(fingerprint)
-        if entry is None:
-            self.misses += 1
-            return None
-        if not entry.is_valid(catalog):
-            del self._entries[fingerprint]
-            self.invalidations += 1
-            self.misses += 1
-            return None
-        self._entries.move_to_end(fingerprint)
-        self.hits += 1
-        entry.hits += 1
-        return entry
-
-    def _insert_locked(self, fingerprint: str, catalog) -> CachedPlan:
-        statement = parse_statement(fingerprint)
-        entry = CachedPlan(fingerprint, statement, catalog)
-        self._entries[fingerprint] = entry
-        self._entries.move_to_end(fingerprint)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return entry
-
-    def insert(self, fingerprint: str, catalog) -> CachedPlan:
-        """Parse the fingerprint text and cache the resulting plan."""
-        with self._lock:
-            return self._insert_locked(fingerprint, catalog)
-
-    def get_or_create(self, fingerprint: str, catalog) -> CachedPlan:
-        with self._lock:
-            entry = self._lookup_locked(fingerprint, catalog)
+            entry = self._entries.get(fingerprint)
             if entry is None:
-                entry = self._insert_locked(fingerprint, catalog)
+                return None
+            if not entry.is_valid(catalog):
+                del self._entries[fingerprint]
+                self.invalidations += 1
+                return None
+            self._entries.move_to_end(fingerprint)
+            self.hits += 1
             return entry
 
-    def clear(self) -> None:
+    def get_or_create(self, fingerprint: str, catalog) -> CachedPlan:
+        entry = self.lookup(fingerprint, catalog)
+        if entry is not None:
+            return entry
+        entry = CachedPlan(parse_statement(fingerprint), catalog)
         with self._lock:
-            self._entries.clear()
+            self.misses += 1
+            self._entries[fingerprint] = entry
+            self._entries.move_to_end(fingerprint)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        return entry
 
     def stats(self) -> Dict[str, int]:
         """Counters for monitoring and the serving benchmark's hit ratio."""

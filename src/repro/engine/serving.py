@@ -36,7 +36,9 @@ statements additionally capture every table's ``_data_version`` before and
 after execution and raise ``SNAPSHOT_VIOLATION`` if the two differ — the
 lock makes that impossible by construction, so the validation is a live
 assertion that the isolation actually holds (the concurrency stress suite
-leans on it).
+leans on it).  One read skips the pool: a cached index-equality plan
+matching at most ``INLINE_MAX_ROWS`` rows runs on the event loop itself
+when no writer holds or awaits the lock (``DatabaseServer._answer_inline``).
 
 Admission control is a bounded counter: at most ``max_concurrent`` admitted
 statements run at once and at most ``max_queue`` more may wait; past that
@@ -73,8 +75,9 @@ import threading
 from collections import deque
 from concurrent.futures import Future as ThreadFuture
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .. import __version__
 from ..errors import (
@@ -91,7 +94,7 @@ from .database import Database, PreparedStatement
 from .faults import WIRE_TRUNCATE, FaultInjector
 from .parser import parse_statement
 from .parser.lexer import tokenize
-from .plancache import PlanCache, statement_is_read_only
+from .plancache import CachedPlan, PlanCache, normalize_statement, statement_is_read_only
 from .result import ResultSet
 
 __all__ = [
@@ -120,6 +123,10 @@ _UNSET: Any = object()
 #: wide result sets, small enough that a garbage length prefix cannot make
 #: the server try to buffer gigabytes.
 DEFAULT_MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+#: Most rows an index probe may match and still run on the event loop, so
+#: the loop never runs unbounded work; a larger one goes to a worker thread.
+INLINE_MAX_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +262,16 @@ class ReadWriteLock:
 
     # -- acquire ------------------------------------------------------------
 
+    def try_acquire_read(self) -> bool:
+        """:meth:`acquire_read`'s fast path: grant unless a writer holds or awaits."""
+        if self._writer_active or self._waiters:
+            return False
+        self._active_readers += 1
+        return True
+
     async def acquire_read(self) -> None:
-        if not self._writer_active and not self._waiters:
-            self._active_readers += 1
-            return
-        await self._wait("r")
+        if not self.try_acquire_read():
+            await self._wait("r")
 
     async def acquire_write(self) -> None:
         if not self._writer_active and self._active_readers == 0 and not self._waiters:
@@ -333,16 +345,17 @@ class Session:
 
     def __init__(self, session_id: int) -> None:
         self.id = session_id
-        self.statements: Dict[str, Tuple[PreparedStatement, bool]] = {}
+        #: handle -> (statement, lock side: "read" or "write")
+        self.statements: Dict[str, Tuple[PreparedStatement, str]] = {}
         self._next_handle = 0
 
-    def add_statement(self, prepared: PreparedStatement, read_only: bool) -> str:
+    def add_statement(self, prepared: PreparedStatement, kind: str) -> str:
         self._next_handle += 1
         handle = f"s{self._next_handle}"
-        self.statements[handle] = (prepared, read_only)
+        self.statements[handle] = (prepared, kind)
         return handle
 
-    def get_statement(self, handle: str) -> Tuple[PreparedStatement, bool]:
+    def get_statement(self, handle: str) -> Tuple[PreparedStatement, str]:
         try:
             return self.statements[handle]
         except KeyError:
@@ -354,25 +367,27 @@ def _classify_sql(sql: str) -> str:
 
     SELECT (including UNION chains) is a read; EXPLAIN is a read unless it
     is EXPLAIN ANALYZE of a write (that actually runs its target), which
-    needs the full parse to see.  Anything unrecognized is conservatively a
-    write — the statement still executes correctly, just without reader
-    concurrency.
+    needs the full parse to see.  Anything unrecognized (or unparseable: it
+    fails with its real error when run) is conservatively a write — the
+    statement still executes correctly, just without reader concurrency.
     """
-    tokens = tokenize(sql)
-    if not tokens or tokens[0].kind != "keyword":
+    try:
+        tokens = tokenize(sql)
+        first = tokens[0].value.lower() if tokens and tokens[0].kind == "keyword" else ""
+        if first == "explain":
+            return "read" if statement_is_read_only(parse_statement(sql)) else "write"
+    except ReproError:
         return "write"
-    first = tokens[0].value.lower()
-    if first == "select":
-        return "read"
-    if first == "explain":
-        return "read" if statement_is_read_only(parse_statement(sql)) else "write"
-    return "write"
+    return "read" if first == "select" else "write"
 
 
-def _prepared_is_read_only(prepared: PreparedStatement) -> bool:
-    if prepared.fingerprint is not None:
-        return prepared.fingerprint.split(" ", 1)[0] == "select"
-    return statement_is_read_only(prepared._statement)
+class _Statement(NamedTuple):
+    """A ``query`` / ``execute`` request resolved once, on the event loop."""
+
+    kind: str  # "read" or "write": the lock side
+    entry: Optional[CachedPlan]  # the plan-cache hit; None on a miss or uncached
+    params: Optional[Dict[str, Any]]  # caller parameters merged with literals
+    execute: Callable[[], ResultSet]  # the worker-thread body
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +419,9 @@ class ServerStats:
     ``statements_cancelled`` counts in-flight batches whose awaiting client
     disconnected (the statement thread still finishes and releases the lock;
     only the response is abandoned).  ``client_disconnects`` counts
-    connections that ended without a clean ``close`` op.
+    connections that ended without a clean ``close`` op.  Each query/execute
+    counts once: ``inline`` (answered on the event loop) or ``handoff[reason]``
+    (sent to a worker thread; reasons in ``docs/serving.md``).
     """
 
     statements_served: int = 0
@@ -413,8 +430,12 @@ class ServerStats:
     statements_cancelled: int = 0
     client_disconnects: int = 0
     truncated_sends: int = 0
+    inline: int = 0
+    handoff: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(("miss", "shape", "lock", "probe", "rows", "queued"), 0)
+    )
 
-    def as_dict(self) -> Dict[str, int]:
+    def as_dict(self) -> Dict[str, Any]:
         return {
             "served": self.statements_served,
             "shed": self.statements_shed,
@@ -422,6 +443,8 @@ class ServerStats:
             "cancelled": self.statements_cancelled,
             "disconnects": self.client_disconnects,
             "truncated_sends": self.truncated_sends,
+            "inline": self.inline,
+            "handoff": dict(self.handoff),
         }
 
 
@@ -496,19 +519,6 @@ class DatabaseServer:
         self._stopping = False
         # Monitoring counters (exposed by the ``stats`` op).
         self.stats = ServerStats()
-
-    # Back-compat aliases for the pre-ServerStats counter attributes.
-    @property
-    def statements_served(self) -> int:
-        return self.stats.statements_served
-
-    @property
-    def statements_shed(self) -> int:
-        return self.stats.statements_shed
-
-    @property
-    def statements_timed_out(self) -> int:
-        return self.stats.statements_timed_out
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -599,6 +609,18 @@ class DatabaseServer:
                     if not chunk:
                         break  # client disconnected (possibly mid-frame)
                     buffer.extend(chunk)
+                    continue
+                frames, items = self._answer_leading(session, items)
+                if frames:
+                    self._active_batches += 1
+                    try:
+                        truncated = await self._send(writer, frames)
+                    finally:
+                        self._active_batches -= 1
+                    if truncated:
+                        clean_close = True
+                        break
+                if not items:
                     continue
                 # Race the batch against further socket reads so a client
                 # that vanishes mid-statement cancels the *await* instead of
@@ -746,10 +768,13 @@ class DatabaseServer:
                     break
                 continue
             try:
-                op = item.get("op")
-                if op in ("query", "execute"):
-                    kind, run = self._statement_thunk(session, item)
-                    if kind == "read":
+                statement = item if isinstance(item, _Statement) else None
+                if statement is None and item.get("op") in ("query", "execute"):
+                    statement = self._resolve(session, item)
+                    self.stats.handoff["queued"] += 1  # behind a request not answered inline
+                if statement is not None:
+                    run = partial(self._run_statement, statement.kind, statement.execute)
+                    if statement.kind == "read":
                         pending_reads.append(run)
                         continue
                     await flush_reads()
@@ -769,44 +794,104 @@ class DatabaseServer:
                 await flush_reads()
                 frames.append(json_frame(_error_payload(exc)))
         await flush_reads()
+        return await self._send(writer, frames) or close
+
+    async def _send(self, writer: asyncio.StreamWriter, frames: List[bytes]) -> bool:
+        """Write response frames and drain; True when the ``serving.send``
+        fault truncated them (the connection then closes)."""
         blob = b"".join(frames)
-        if self.faults is not None and blob:
-            fault = self.faults.probe("serving.send")
-            if fault is not None and fault.kind == WIRE_TRUNCATE:
-                # Chaos: lose the tail of the response batch.  The work is
-                # already committed — the client sees a broken frame and must
-                # treat unacknowledged statements as in-doubt.
-                self.stats.truncated_sends += 1
-                writer.write(blob[: max(1, len(blob) // 2)])
-                await writer.drain()
-                return True
+        fault = None if self.faults is None or not blob else self.faults.probe("serving.send")
+        truncated = fault is not None and fault.kind == WIRE_TRUNCATE
+        if truncated:
+            # Chaos: lose the tail of the response batch.  The work is
+            # already committed — the client sees a broken frame and must
+            # treat unacknowledged statements as in-doubt.
+            self.stats.truncated_sends += 1
+            blob = blob[: max(1, len(blob) // 2)]
         writer.write(blob)
         await writer.drain()
-        return close
+        return truncated
 
-    def _statement_thunk(self, session: Session, request: Dict[str, Any]):
-        """``(kind, thunk)`` for a query/execute request; the thunk runs on
-        a worker thread and returns the response frame."""
+    def _resolve(self, session: Session, request: Dict[str, Any]) -> _Statement:
+        """Resolve a query/execute request, once, on the loop: one normalize
+        (which also picks the lock side) and a plan-cache lookup, a hit only.
+        Uncacheable text (DDL, EXPLAIN) and an uncached server classify by
+        tokens instead.  Nothing here may queue behind the worker pool."""
+        database = self.database
+        params = self._params_of(request)
         if request["op"] == "query":
             sql = self._require_sql(request)
-            params = self._params_of(request)
-            # Classification is a token scan (a parse only for EXPLAIN) —
-            # cheap enough to run inline, and it must not queue behind the
-            # worker pool or a slow statement would stall admission itself.
             try:
-                kind = _classify_sql(sql)
+                normalized = None if database.plan_cache is None else normalize_statement(sql)
             except ReproError:
-                kind = "write"  # let the statement fail with its real error
-            return kind, lambda: self._run_statement(
-                kind, lambda: self.database.execute(sql, params)
-            )
-        handle = request.get("handle")
-        if not isinstance(handle, str):
-            raise ProtocolError("request needs a 'handle' string")
-        prepared, read_only = session.get_statement(handle)
-        params = self._params_of(request)
-        kind = "read" if read_only else "write"
-        return kind, lambda: self._run_statement(kind, lambda: prepared.execute(params))
+                normalized = None  # the worker raises the real error
+            if normalized is None:
+                run = partial(database.execute, sql, params)
+                return _Statement(_classify_sql(sql), None, params, run)
+            fingerprint, values = normalized
+        else:
+            handle = request.get("handle")
+            if not isinstance(handle, str):
+                raise ProtocolError("request needs a 'handle' string")
+            prepared, kind = session.get_statement(handle)
+            if prepared.fingerprint is None:
+                return _Statement(kind, None, params, lambda: prepared.execute(params))
+            fingerprint, values = prepared.fingerprint, prepared.values
+        entry, merged = database.resolve(fingerprint, values, params)
+        kind = "read" if fingerprint.startswith("select ") else "write"
+        return _Statement(
+            kind, entry, merged, lambda: database.execute_resolved(fingerprint, entry, merged)
+        )
+
+    def _answer_leading(self, session: Session, items: List[Any]) -> Tuple[List[bytes], List[Any]]:
+        """Answer a frame set's leading point reads without a batch task: their
+        frames, and the items left for the batch, whose first may be a
+        :class:`_Statement` declined here (the batch does not resolve it again)."""
+        frames: List[bytes] = []
+        for index, item in enumerate(items):
+            if not isinstance(item, dict) or item.get("op") not in ("query", "execute"):
+                return frames, items[index:]
+            try:
+                statement = self._resolve(session, item)
+            except ReproError:
+                return frames, items[index:]  # the batch answers the error
+            frame = self._answer_inline(statement)
+            if frame is None:
+                return frames, [statement, *items[index + 1 :]]
+            frames.append(frame)
+        return frames, []
+
+    def _answer_inline(self, statement: _Statement) -> Optional[bytes]:
+        """Run a cached :class:`SimpleSelectPlan` (a read-only index probe) on
+        the event loop while no writer holds or awaits the lock; else None,
+        counting why it goes to a worker thread (``docs/serving.md``).  No
+        ``statement_timeout``: it is one probe of <= ``INLINE_MAX_ROWS`` rows."""
+        entry = statement.entry
+        if entry is None or entry.simple_plan is None:
+            reason = "miss" if entry is None else "shape"
+        elif (
+            self._stopping
+            or self._inflight >= self.max_concurrent + self.max_queue
+            or not self._lock.try_acquire_read()
+        ):
+            reason = "lock"
+        else:
+            catalog = self.database.catalog
+            try:
+                before = self._version_snapshot(catalog)
+                result = entry.simple_plan.execute(catalog, statement.params, INLINE_MAX_ROWS)
+                if isinstance(result, ResultSet):
+                    result = self._served(result, before)
+            except ReproError as exc:
+                result = json_frame(_error_payload(exc))
+            finally:
+                self._lock.release_read()
+            if isinstance(result, bytes):
+                self.stats.inline += 1
+                return result
+            reason = result  # "probe" or "rows"
+        self.stats.handoff[reason] += 1
+        return None
 
     async def _run_read_batch(self, thunks: List[Any]) -> List[bytes]:
         """Run queued read thunks as one admitted worker-thread unit.
@@ -883,14 +968,14 @@ class DatabaseServer:
 
         def prepare() -> bytes:
             prepared = self.database.prepare(sql)
-            read_only = _prepared_is_read_only(prepared)
-            handle = session.add_statement(prepared, read_only)
+            kind = _classify_sql(sql)
+            handle = session.add_statement(prepared, kind)
             return json_frame(
                 {
                     "ok": True,
                     "handle": handle,
                     "params": prepared.parameter_names,
-                    "read_only": read_only,
+                    "read_only": kind == "read",
                 }
             )
 
@@ -941,18 +1026,19 @@ class DatabaseServer:
         readers/writer lock this can never fire; it exists to *prove* that.
         JSON serialization happens here too, off the event loop.
         """
-        catalog = self.database.catalog
-        if kind == "read":
-            before = self._version_snapshot(catalog)
-            result = execute()
-            after = self._version_snapshot(catalog)
+        before = self._version_snapshot(self.database.catalog) if kind == "read" else None
+        return self._served(execute(), before)
+
+    def _served(self, result: ResultSet, before: Optional[Dict[str, Any]]) -> bytes:
+        """Count a finished statement and encode its response frame, after
+        re-checking a read's pre-execution version snapshot ``before``."""
+        if before is not None:
+            after = self._version_snapshot(self.database.catalog)
             if before != after:
                 raise SnapshotViolationError(
                     "table versions changed during a read statement: "
                     f"{sorted(set(before.items()) ^ set(after.items()))[:4]}"
                 )
-        else:
-            result = execute()
         self.stats.statements_served += 1
         return json_frame(_result_payload(result))
 
