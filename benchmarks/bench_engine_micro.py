@@ -100,15 +100,15 @@ PARALLEL_ONLY_METRICS = frozenset(
 def _baseline_metric(name: str) -> bool:
     """Whether a metric belongs in the committed regression baseline.
 
-    Parallel metrics (machine/worker dependent), the opt-in ``--joins`` /
-    ``--indexes`` / ``--columnar`` metrics (absent from default runs, so the
-    gate would flag them MISSING) and the reference-evaluator metrics (they
-    time the parity oracle, which is allowed to be slow) stay out.
+    Parallel metrics (machine/worker dependent), the opt-in ``--indexes``
+    metrics (absent from default runs, so the gate would flag them MISSING)
+    and the reference-evaluator metrics (they time the parity oracle, which
+    is allowed to be slow) stay out.
     """
     return (
         name not in PARALLEL_ONLY_METRICS
         and "_interpreted_" not in name
-        and not name.startswith(("join_", "index_", "columnar_", "compression_"))
+        and not name.startswith("index_")
     )
 
 
@@ -170,116 +170,6 @@ def _run_groupby_suite(
             parallel_rate / metrics["groupby_low_card_rows_per_sec"]
         )
         parallel_db.close()
-
-
-def _make_join_database(rows: int, right_rows: int, *, hash_joins: bool = True) -> Database:
-    """Two equi-joinable tables: ``jl`` (~2 rows per key) and ``jr`` (unique
-    keys, half of them matching), both distributed by the join key."""
-    database = Database(num_segments=4, hash_joins=hash_joins)
-    database.create_table(
-        "jl",
-        [("id", "integer"), ("k", "integer"), ("a", "double precision")],
-        distributed_by="k",
-    )
-    database.create_table(
-        "jr", [("k", "integer"), ("b", "double precision")], distributed_by="k"
-    )
-    rng = np.random.default_rng(17)
-    left_values = rng.normal(size=rows)
-    database.load_rows(
-        "jl", [(i, i % max(rows // 2, 1), float(v)) for i, v in enumerate(left_values)]
-    )
-    right_values = rng.normal(size=right_rows)
-    database.load_rows("jr", [(i, float(v)) for i, v in enumerate(right_values)])
-    return database
-
-
-def _load_viterbi_trio(database: Database, labels: int) -> int:
-    """The Viterbi DP-step tables (factors/paths/transitions); returns base rows."""
-    positions = 3
-    database.create_table(
-        "vf",
-        [("position", "integer"), ("label", "integer"), ("emission", "double precision")],
-    )
-    database.load_rows(
-        "vf",
-        [(p, l, float(p + l) / 7.0) for p in range(positions) for l in range(labels)],
-    )
-    database.create_table(
-        "vp", [("position", "integer"), ("label", "integer"), ("score", "double precision")]
-    )
-    database.load_rows("vp", [(0, l, float(l) * 0.3) for l in range(labels)])
-    database.create_table(
-        "vt",
-        [("prev_label", "integer"), ("label", "integer"), ("weight", "double precision")],
-    )
-    database.load_rows(
-        "vt",
-        [(a, b, float(a * labels + b) / 11.0) for a in range(labels) for b in range(labels)],
-    )
-    return positions * labels + labels + labels * labels
-
-
-#: The Viterbi DP-step query exactly as ``repro.text.viterbi.viterbi_sql``
-#: issues it per token position (modulo table names).
-_VITERBI_STEP = (
-    "SELECT f.position, f.label, max(p.score + t.weight + f.emission) "
-    "FROM vf f, vp p, vt t "
-    "WHERE f.position = 1 AND p.position = 0 "
-    "AND t.prev_label = p.label AND t.label = f.label "
-    "GROUP BY f.position, f.label"
-)
-
-
-def _run_join_suite(metrics: Dict[str, float], rows: int, *, repeats: int) -> None:
-    """The ``--joins`` pattern: hash-join vs nested-loop rows/sec.
-
-    The 2-way equi-join runs the hash path at ``rows`` per side and the
-    nested-loop baseline at ``min(rows // 5, 2000)`` per side — the nested
-    loop is O(N·M), so its measured rate at the smaller size *overstates*
-    what it would achieve at full size, making the reported speedup a
-    conservative lower bound.  The Viterbi-shaped 3-way join runs both
-    strategies at identical sizes (the nested baseline materializes the full
-    Cartesian product, which bounds how large that can be).
-    """
-    join_query = "SELECT count(*), sum(l.a + r.b) FROM jl l, jr r WHERE l.k = r.k"
-
-    hash_db = _make_join_database(rows, rows)
-    base_rows = rows + rows
-    metrics["join_hash_2way_rows_per_sec"], hash_result = _time_rows_per_sec(
-        base_rows, repeats=repeats, func=lambda: hash_db.execute(join_query).rows
-    )
-    assert "hash" in (hash_db.last_stats.join_strategy or ""), "hash join did not engage"
-    assert hash_db.last_stats.rows_scanned == base_rows
-
-    nested_rows = max(min(rows // 5, 2_000), 100)
-    nested_db = _make_join_database(nested_rows, nested_rows, hash_joins=False)
-    metrics["join_nested_2way_rows_per_sec"], _ = _time_rows_per_sec(
-        nested_rows * 2, repeats=1, func=lambda: nested_db.execute(join_query).rows
-    )
-    # Sanity: both strategies agree at the nested baseline's size.
-    check_db = _make_join_database(nested_rows, nested_rows)
-    assert check_db.execute(join_query).rows == nested_db.execute(join_query).rows
-    metrics["join_2way_speedup"] = (
-        metrics["join_hash_2way_rows_per_sec"] / metrics["join_nested_2way_rows_per_sec"]
-    )
-
-    labels = max(min(rows // 500, 24), 8)
-    viterbi_hash = Database(num_segments=4)
-    viterbi_base = _load_viterbi_trio(viterbi_hash, labels)
-    metrics["join_hash_viterbi3_rows_per_sec"], hash_step = _time_rows_per_sec(
-        viterbi_base, repeats=repeats, func=lambda: viterbi_hash.execute(_VITERBI_STEP).rows
-    )
-    viterbi_nested = Database(num_segments=4, hash_joins=False)
-    _load_viterbi_trio(viterbi_nested, labels)
-    metrics["join_nested_viterbi3_rows_per_sec"], nested_step = _time_rows_per_sec(
-        viterbi_base, repeats=1, func=lambda: viterbi_nested.execute(_VITERBI_STEP).rows
-    )
-    assert sorted(hash_step) == sorted(nested_step)
-    metrics["join_viterbi3_speedup"] = (
-        metrics["join_hash_viterbi3_rows_per_sec"]
-        / metrics["join_nested_viterbi3_rows_per_sec"]
-    )
 
 
 def _make_index_database(rows: int, *, indexes: bool = True) -> Database:
@@ -358,203 +248,13 @@ def _run_index_suite(metrics: Dict[str, float], rows: int, *, repeats: int) -> N
             assert access == "index", (fraction, access)
 
 
-def _make_columnar_database(rows: int, *, columnar: bool) -> Database:
-    """The ``--columnar`` fixture: a numeric table whose WHERE clauses sit
-    squarely in the vector-compilable subset (``u`` is uniform on [0, 1), so
-    ``u < 0.1`` is the 10%-selectivity acceptance shape)."""
-    database = Database(num_segments=4, columnar_storage=columnar)
-    database.create_table(
-        "cs",
-        [
-            ("id", "integer"),
-            ("k", "integer"),
-            ("u", "double precision"),
-            ("v", "double precision"),
-        ],
-        distributed_by="id",
-    )
-    rng = np.random.default_rng(17)
-    u = rng.random(rows)
-    v = rng.normal(size=rows)
-    database.load_rows(
-        "cs", [(i, i % 97, float(x), float(y)) for i, (x, y) in enumerate(zip(u, v))]
-    )
-    return database
-
-
-def _run_columnar_suite(metrics: Dict[str, float], rows: int, *, repeats: int) -> None:
-    """The ``--columnar`` pattern: bitmap-vectorized WHERE over packed
-    columns vs the row-tuple storage running the same statements.
-
-    The acceptance shape is the 10%-selectivity filtered aggregate scan
-    (``count(*) + sum`` over ``u < 0.1``), where the bitmap path must beat
-    the row-tuple path by at least 3×.  Filtered projection exercises late
-    materialization; the DML pair reports bitmap DELETE (complement-keep,
-    no row tuples) and vectorized-WHERE UPDATE (the bitmap picks the touched
-    positions and only those rows are rewritten in place).
-    """
-    columnar = _make_columnar_database(rows, columnar=True)
-    rowstore = _make_columnar_database(rows, columnar=False)
-
-    query = "SELECT count(*), sum(v) FROM cs WHERE u < 0.1"
-    metrics["columnar_filtered_agg_rows_per_sec"], fast = _time_rows_per_sec(
-        rows, repeats=repeats, func=lambda: columnar.execute(query).rows
-    )
-    stats = columnar.last_stats
-    assert stats.where_vectorized, "bitmap WHERE did not engage"
-    assert stats.rows_scanned == rows, "rows_scanned must be the bitmap width"
-    assert stats.bitmap_selectivity is not None and 0.05 < stats.bitmap_selectivity < 0.15
-    metrics["columnar_filtered_agg_rowstore_rows_per_sec"], slow = _time_rows_per_sec(
-        rows, repeats=repeats, func=lambda: rowstore.execute(query).rows
-    )
-    assert not rowstore.last_stats.where_vectorized
-    assert fast[0][0] == slow[0][0] and fast[0][1] == slow[0][1]
-    speedup = (
-        metrics["columnar_filtered_agg_rows_per_sec"]
-        / metrics["columnar_filtered_agg_rowstore_rows_per_sec"]
-    )
-    metrics["columnar_filtered_agg_speedup"] = speedup
-    if rows >= MICRO_ROWS:
-        # The acceptance criterion (smoke runs are too small to be meaningful).
-        assert speedup >= 3.0, f"filtered aggregate speedup {speedup:.2f}x < 3x"
-
-    select = "SELECT id, v FROM cs WHERE u < 0.1"
-    metrics["columnar_filtered_select_rows_per_sec"], picked = _time_rows_per_sec(
-        rows, repeats=repeats, func=lambda: columnar.execute(select).rows
-    )
-    assert columnar.last_stats.where_vectorized
-    metrics["columnar_filtered_select_rowstore_rows_per_sec"], picked_slow = _time_rows_per_sec(
-        rows, repeats=repeats, func=lambda: rowstore.execute(select).rows
-    )
-    assert list(picked) == list(picked_slow)
-    metrics["columnar_filtered_select_speedup"] = (
-        metrics["columnar_filtered_select_rows_per_sec"]
-        / metrics["columnar_filtered_select_rowstore_rows_per_sec"]
-    )
-
-    # UPDATE: the matched set is stable across repeats (the predicate column
-    # is untouched), so repeated timing measures a steady state.
-    update = "UPDATE cs SET v = v + 0.0 WHERE u < 0.1"
-    metrics["columnar_update_rows_per_sec"], update_result = _time_rows_per_sec(
-        rows, repeats=repeats, func=lambda: columnar.execute(update)
-    )
-    assert update_result.stats.where_vectorized
-    metrics["columnar_update_rowstore_rows_per_sec"], update_slow = _time_rows_per_sec(
-        rows, repeats=repeats, func=lambda: rowstore.execute(update)
-    )
-    assert update_result.rowcount == update_slow.rowcount
-
-    # DELETE mutates, so time a single shot per storage on the same slice.
-    delete = "DELETE FROM cs WHERE u >= 0.9"
-    metrics["columnar_delete_rows_per_sec"], delete_result = _time_rows_per_sec(
-        rows, repeats=1, func=lambda: columnar.execute(delete)
-    )
-    assert delete_result.stats.where_vectorized
-    metrics["columnar_delete_rowstore_rows_per_sec"], delete_slow = _time_rows_per_sec(
-        rows, repeats=1, func=lambda: rowstore.execute(delete)
-    )
-    assert delete_result.rowcount == delete_slow.rowcount
-
-
-def _make_compression_database(rows: int, *, compression: bool) -> Database:
-    """The ``--compression`` fixture: low-cardinality text columns.
-
-    ``tag`` has 8 distinct values (the classic dimension-attribute shape)
-    and ``name`` has 100 (so an equality hits ~1% of rows and a ``LIKE``
-    prefix ~11%).  With ``compression=False`` the storage is still columnar
-    but the text columns are plain object lists, so text predicates run on
-    the row path — the honest before/after for dictionary encoding.
-    """
-    database = Database(num_segments=4, columnar_compression=compression)
-    database.create_table(
-        "ct",
-        [
-            ("id", "integer"),
-            ("tag", "text"),
-            ("name", "text"),
-            ("v", "double precision"),
-        ],
-        distributed_by="id",
-    )
-    tags = ["red", "green", "blue", "cyan", "teal", "plum", "gray", "gold"]
-    database.load_rows(
-        "ct",
-        [(i, tags[i % 8], f"cat_{i % 100}", float(i % 1000) / 10.0) for i in range(rows)],
-    )
-    return database
-
-
-def _run_compression_suite(metrics: Dict[str, float], rows: int, *, repeats: int) -> None:
-    """The ``--compression`` pattern: code-space text predicates and
-    bitmap-aware UPDATE over dictionary-encoded columns vs the same
-    statements on uncompressed (object-list) text columns.
-
-    Acceptance shapes, asserted at full scale only: the text-filter trio
-    (``=`` / ``IN`` / ``LIKE`` prefix) must beat the uncompressed row path
-    by at least 5× — each predicate is evaluated once per *dictionary
-    entry*, then resolved with one fancy-index over the int16 codes — and
-    the 1%-selectivity UPDATE by at least 3×, since the bitmap rewrites
-    only the matched positions in place instead of driving the predicate
-    through per-row contexts.
-    """
-    compressed = _make_compression_database(rows, compression=True)
-    plain = _make_compression_database(rows, compression=False)
-
-    filters = [
-        ("eq", "SELECT count(*), sum(v) FROM ct WHERE tag = 'blue'"),
-        ("in", "SELECT count(*), sum(v) FROM ct WHERE tag IN ('red', 'teal', 'gold')"),
-        ("like_prefix", "SELECT count(*), sum(v) FROM ct WHERE name LIKE 'cat_1%'"),
-    ]
-    for label, query in filters:
-        metrics[f"compression_text_{label}_rows_per_sec"], fast = _time_rows_per_sec(
-            rows, repeats=repeats, func=lambda q=query: compressed.execute(q).rows
-        )
-        assert compressed.last_stats.where_vectorized, f"{label}: dict path did not engage"
-        assert compressed.last_stats.rows_scanned == rows
-        metrics[f"compression_text_{label}_plain_rows_per_sec"], slow = _time_rows_per_sec(
-            rows, repeats=repeats, func=lambda q=query: plain.execute(q).rows
-        )
-        assert not plain.last_stats.where_vectorized
-        assert fast[0][0] == slow[0][0] and abs(fast[0][1] - slow[0][1]) < 1e-6
-        speedup = (
-            metrics[f"compression_text_{label}_rows_per_sec"]
-            / metrics[f"compression_text_{label}_plain_rows_per_sec"]
-        )
-        metrics[f"compression_text_{label}_speedup"] = speedup
-        if rows >= MICRO_ROWS:
-            assert speedup >= 5.0, f"text {label} speedup {speedup:.2f}x < 5x"
-
-    # UPDATE at 1% selectivity: the predicate column is untouched, so the
-    # matched set is stable across repeats (steady-state timing).
-    update = "UPDATE ct SET v = v + 1.0 WHERE name = 'cat_7'"
-    metrics["compression_update_bitmap_rows_per_sec"], fast_update = _time_rows_per_sec(
-        rows, repeats=repeats, func=lambda: compressed.execute(update)
-    )
-    assert fast_update.stats.where_vectorized
-    metrics["compression_update_plain_rows_per_sec"], slow_update = _time_rows_per_sec(
-        rows, repeats=repeats, func=lambda: plain.execute(update)
-    )
-    assert not slow_update.stats.where_vectorized
-    assert fast_update.rowcount == slow_update.rowcount
-    speedup = (
-        metrics["compression_update_bitmap_rows_per_sec"]
-        / metrics["compression_update_plain_rows_per_sec"]
-    )
-    metrics["compression_update_bitmap_speedup"] = speedup
-    if rows >= MICRO_ROWS:
-        assert speedup >= 3.0, f"bitmap UPDATE speedup {speedup:.2f}x < 3x"
-
-
 def run_micro_suite(
     rows: int = MICRO_ROWS,
     *,
     workers: int = 0,
     repeats: int = 3,
     groupby: bool = False,
-    joins: bool = False,
     indexes: bool = False,
-    columnar: bool = False,
-    compression: bool = False,
 ) -> Dict[str, float]:
     """All microbenchmark metrics, each in rows/second (higher is better).
 
@@ -565,12 +265,7 @@ def run_micro_suite(
     value below 1; the point of the metric is that it is measured, not
     simulated.  ``groupby`` adds the grouped-aggregation pattern at low and
     high group cardinality (and, with workers, the measured grouped-dispatch
-    speedup).  ``joins`` adds the hash-vs-nested-loop join pattern (a 2-way
-    equi-join and the Viterbi-shaped 3-way join).  ``columnar`` adds the
-    bitmap-vectorized WHERE pattern: filtered aggregate / projection / DML
-    throughput on columnar vs row-tuple storage.  ``compression`` adds the
-    dictionary-encoding pattern: code-space text filters and bitmap-aware
-    UPDATE on compressed vs uncompressed text columns.
+    speedup).  ``indexes`` adds the index-probe vs sequential-scan pattern.
     """
     database = _make_database(True, rows)
     where, executor, relation = _expression_fixture(database)
@@ -636,20 +331,11 @@ def run_micro_suite(
 
     if groupby:
         _run_groupby_suite(metrics, rows, workers=workers, repeats=repeats)
-    if joins:
-        _run_join_suite(metrics, min(rows, 10_000), repeats=repeats)
     if indexes:
         # The acceptance shape is a 100k-row indexed table; smoke runs keep
         # their reduced row count.
         index_rows = max(rows, 100_000) if rows >= MICRO_ROWS else rows
         _run_index_suite(metrics, index_rows, repeats=repeats)
-    if columnar:
-        _run_columnar_suite(metrics, rows, repeats=repeats)
-    if compression:
-        # The acceptance shape is a 100k-row low-cardinality text table;
-        # smoke runs keep their reduced row count.
-        compression_rows = max(rows, 100_000) if rows >= MICRO_ROWS else rows
-        _run_compression_suite(metrics, compression_rows, repeats=repeats)
     return metrics
 
 
@@ -745,37 +431,12 @@ def main(argv=None) -> int:
         "grouped-dispatch speedup)",
     )
     parser.add_argument(
-        "--joins",
-        action="store_true",
-        help="also measure the join pattern: hash vs nested-loop rows/sec on "
-        "a 10k-row 2-way equi-join and on the Viterbi-shaped 3-way join "
-        "(excluded from the committed baseline, like the parallel metrics)",
-    )
-    parser.add_argument(
         "--indexes",
         action="store_true",
         help="also measure the access-path pattern: index-probe vs "
         "sequential-scan point lookups on a 100k-row indexed table plus a "
         "range-selectivity sweep (0.001%% to 50%% hit rate; excluded from "
-        "the committed baseline, like the join metrics)",
-    )
-    parser.add_argument(
-        "--columnar",
-        action="store_true",
-        help="also measure the columnar-storage pattern: bitmap-vectorized "
-        "WHERE vs the row-tuple path on filtered aggregate scans, filtered "
-        "projection, and DML (excluded from the committed baseline; the "
-        "10%%-selectivity filtered aggregate asserts a >=3x speedup at "
-        "full scale)",
-    )
-    parser.add_argument(
-        "--compression",
-        action="store_true",
-        help="also measure the dictionary-compression pattern: code-space "
-        "text predicates (=, IN, LIKE prefix; >=5x at full scale) and "
-        "1%%-selectivity bitmap-aware UPDATE (>=3x) on a 100k-row "
-        "low-cardinality text table vs the same statements with "
-        "columnar_compression=False (excluded from the committed baseline)",
+        "the committed baseline, like the parallel metrics)",
     )
     parser.add_argument(
         "--smoke",
@@ -796,10 +457,7 @@ def main(argv=None) -> int:
         workers=args.workers,
         repeats=1 if args.smoke else 3,
         groupby=args.groupby,
-        joins=args.joins,
         indexes=args.indexes,
-        columnar=args.columnar,
-        compression=args.compression,
     )
     write_report(output, metrics, rows=rows)
     print(f"wrote {output}" + (" (smoke mode)" if args.smoke else ""))

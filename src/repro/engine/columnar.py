@@ -1,14 +1,14 @@
-"""Typed packed column storage — the segment-native representation.
+"""Typed packed column storage — the one segment representation.
 
 Greenplum stores a table's rows on its segments; this engine's fast paths
 (batch aggregate kernels, packed worker pickling, hash-join builds, index
-maintenance) all want *columns*, and until this module existed they derived
-them from row tuples on every table version change.  A
-:class:`ColumnStore` inverts that: each segment owns one typed packed
-column per schema column — ``array('d')`` for ``double precision``,
-``array('q')`` for ``integer``/``bigint``, a plain Python list for
-everything else — plus a null bitmap, and row tuples become the *derived*
-(cached) view used by code that still thinks in rows.
+maintenance) all want *columns*.  Every segment of every table is a
+:class:`ColumnStore`: one typed packed column per schema column —
+``array('d')`` for ``double precision``, ``array('q')`` for
+``integer``/``bigint``, dictionary codes for text and booleans, a plain
+Python list for everything else — plus a null bitmap, and row tuples are a
+*derived* view: a few rows read per position (:meth:`ColumnStore.rows_at`),
+every row through a per-segment cache.
 
 Representation invariants
 -------------------------
@@ -35,7 +35,7 @@ segment's view.
 
 Compression
 -----------
-Text and boolean columns compress with dictionary encoding
+Text and boolean columns always compress with dictionary encoding
 (:class:`DictColumn`): values live once in a per-column dictionary and the
 column itself is an ``array('h')`` of int16 codes (``-1`` = SQL NULL).  A
 freshly created column starts in a run-length tier (runs of ``(code,
@@ -507,29 +507,36 @@ class ArrayColumn(list):
 
 
 class ColumnStore(Sequence):
-    """One segment's rows, stored as typed packed columns.
+    """One segment's rows, stored as typed packed columns — the only segment
+    type a :class:`~repro.engine.table.Table` has.
 
-    Exposes the sequence-of-row-tuples protocol (``len``, indexing,
-    iteration, ``append``) so every row-oriented consumer — index rebuilds,
-    sequential scans, the parallel grouped dispatch — works unchanged, while
-    column-oriented consumers read the packed columns directly.
+    Numeric columns are :class:`TypedColumn`, text and boolean columns
+    :class:`DictColumn`, ``double precision[]`` an :class:`ArrayColumn`, and
+    anything else (or a demoted column) a plain object list.  Exposes the
+    sequence-of-row-tuples protocol (``len``, indexing, iteration,
+    ``append``) for consumers that need every row — sequential scans, the
+    per-row predicate DML paths — while column-oriented consumers read the
+    packed columns directly and a few rows are read with :meth:`rows_at`
+    without building the whole row view.
     """
 
-    __slots__ = ("schema", "compression", "_columns", "_length", "_rows_cache")
+    __slots__ = ("schema", "_columns", "_length", "_rows_cache", "_reads")
 
-    def __init__(self, schema: Schema, *, compression: bool = True) -> None:
+    def __init__(self, schema: Schema) -> None:
         self.schema = schema
-        self.compression = bool(compression)
         self._columns: List[Any] = [self._new_column(column.sql_type) for column in schema]
         self._length = 0
         self._rows_cache: Optional[List[Tuple[Any, ...]]] = None
+        #: Rows :meth:`rows_at` read off the columns since the last mutation.
+        self._reads = 0
 
-    def _new_column(self, sql_type) -> Any:
+    @staticmethod
+    def _new_column(sql_type) -> Any:
         if sql_type is DOUBLE:
             return TypedColumn("d")
         if sql_type is INTEGER or sql_type is BIGINT:
             return TypedColumn("q")
-        if self.compression and (sql_type is TEXT or sql_type is BOOLEAN):
+        if sql_type is TEXT or sql_type is BOOLEAN:
             # Dictionary encoding only for types whose consumers never need
             # a numeric packed view — an int column behind a dictionary
             # would lose ``numeric_view`` and with it the numeric bitmap
@@ -541,6 +548,7 @@ class ColumnStore(Sequence):
 
     def append(self, row: Tuple[Any, ...]) -> None:
         self._rows_cache = None
+        self._reads = 0
         for i, value in enumerate(row):
             column = self._columns[i]
             if isinstance(column, (TypedColumn, DictColumn)):
@@ -574,6 +582,7 @@ class ColumnStore(Sequence):
         so re-applying those already made is idempotent.
         """
         self._rows_cache = None
+        self._reads = 0
         indices = range(len(self._columns)) if column_indices is None else column_indices
         for i in indices:
             column = self._columns[i]
@@ -592,6 +601,7 @@ class ColumnStore(Sequence):
         self._columns = [self._new_column(column.sql_type) for column in self.schema]
         self._length = 0
         self._rows_cache = None
+        self._reads = 0
 
     def keep_positions(self, positions: Sequence[int]) -> None:
         """Retain only the rows at ``positions`` (ascending) — segment DELETE."""
@@ -605,6 +615,7 @@ class ColumnStore(Sequence):
         self._columns = new_columns
         self._length = len(index)
         self._rows_cache = None
+        self._reads = 0
 
     # -- row-tuple view -------------------------------------------------------
 
@@ -638,13 +649,8 @@ class ColumnStore(Sequence):
         return self._columns[index]
 
     def columns_view(self) -> Tuple[Sequence[Any], ...]:
-        """All columns — the drop-in replacement for the derived columnar
-        cache row-mode tables maintain."""
+        """All columns, live (``Table.segment_columns``)."""
         return tuple(self._columns)
-
-    def iter_column(self, index: int) -> Iterator[Any]:
-        """Iterate one column's Python values (index-rebuild fast path)."""
-        return iter(self._columns[index])
 
     def numeric_view(self, index: int) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
         """``(values, null_mask)`` ndarrays for a packed numeric column.
@@ -657,17 +663,40 @@ class ColumnStore(Sequence):
             return None
         return column.values_array(), column.null_mask()
 
-    def rows_at(self, positions: np.ndarray) -> List[Tuple[Any, ...]]:
-        """Row tuples at ``positions`` only — O(len(positions)).
+    #: Below this many positions ``rows_at`` reads per position: one NumPy
+    #: gather per column costs more than a point read's few ``__getitem__``.
+    _GATHER_MIN_ROWS = 4
+
+    #: ``rows_at`` builds the row cache once the rows it read since the last
+    #: mutation reach ``1/_CACHE_AFTER`` of the segment.  A per-position read
+    #: costs ~15x a cached one, so by then the reads have cost about what the
+    #: build does (ski rental): read-mostly traffic gets the cache, and a
+    #: write stream's few-row reads never rebuild it.
+    _CACHE_AFTER = 16
+
+    def rows_at(self, positions: Sequence[int]) -> List[Tuple[Any, ...]]:
+        """Row tuples at ``positions`` (any int sequence) — O(len(positions)).
 
         Served from the row cache when one is standing (sharing its value
-        objects); never builds it.
+        objects), or once enough reads since the last mutation have paid for
+        building it (``_CACHE_AFTER``).  Otherwise a point read's few
+        positions read per position, with no ndarray in the way, and more
+        gather each column with one fancy-index.
         """
-        if self._rows_cache is not None:
-            return [self._rows_cache[position] for position in positions.tolist()]
-        if not self._columns:
-            return [()] * len(positions)
-        return list(zip(*(gather_positions(column, positions) for column in self._columns)))
+        cache = self._rows_cache
+        if cache is None:
+            self._reads += len(positions)
+            if self._reads * self._CACHE_AFTER >= self._length:
+                cache = self.rows_view()
+        if cache is not None:
+            if isinstance(positions, np.ndarray):
+                positions = positions.tolist()
+            return [cache[position] for position in positions]
+        columns = self._columns
+        if len(positions) < self._GATHER_MIN_ROWS or not columns:
+            return [tuple([column[position] for column in columns]) for position in positions]
+        at = np.asarray(positions, dtype=np.int64)
+        return list(zip(*(gather_positions(column, at) for column in columns)))
 
     def dict_view(self, index: int) -> Optional[Tuple[np.ndarray, List[Any]]]:
         """``(codes, dictionary values)`` for a dictionary-encoded column.

@@ -725,11 +725,8 @@ def _dict_program(column_index: int, rowfn: Callable[[Any], Any]):
     """
 
     def program(store, length, _index=column_index, _rowfn=rowfn):
-        view_fn = getattr(store, "dict_view", None)
-        view = view_fn(_index) if view_fn is not None else None
-        if view is None:
-            # Compression off, demoted column, or a store without
-            # dictionaries at all — no code space to run in.
+        view = store.dict_view(_index)
+        if view is None:  # a demoted column: no code space to run in
             raise _VectorAbort
         codes, values = view
         size = len(values)

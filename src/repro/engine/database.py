@@ -44,6 +44,11 @@ __all__ = ["Database", "PreparedStatement", "connect"]
 class Database:
     """An in-memory, single-process stand-in for PostgreSQL / Greenplum.
 
+    Every table stores each segment as typed packed columns
+    (:class:`~repro.engine.columnar.ColumnStore`, dictionary-encoded text and
+    booleans); there is one storage layer, as Greenplum has one, and no
+    switch selects another.
+
     Parameters
     ----------
     num_segments:
@@ -59,8 +64,9 @@ class Database:
         false ``Executor._compile`` hands out the reference evaluator
         (tree-walking ``Expression.evaluate``) instead, and everything that
         needs compiled predicates — batched kernels, bitmap scans, hash
-        joins, index scans — is off.  The two must agree — the flag exists
-        so the parity suite and the microbenchmarks can compare them.
+        joins (every join runs the nested loop), index scans — is off.  The
+        two must agree — the flag exists so the parity suites can compare
+        them.
     parallel:
         Number of worker *processes* for real parallel segment execution
         (the third execution tier, :mod:`repro.engine.parallel`).  ``0``
@@ -71,40 +77,12 @@ class Database:
         states on the coordinator.  Aggregates the pool cannot ship
         (non-picklable UDAs) transparently fall back to the in-process fold,
         so results are identical with and without workers.
-    hash_joins:
-        When true (default), equi-joins — explicit ``JOIN ... ON`` and
-        implicit multi-table FROM lists with WHERE equality conjuncts — run
-        as build/probe hash joins with predicate pushdown
-        (:mod:`repro.engine.join`); when false every join takes the nested
-        loop / Cartesian-product path.  Results are
-        identical either way — the flag exists so the join parity suite and
-        the ``--joins`` microbenchmark can compare the strategies.  Hash
-        joins also require ``compiled_execution``.
     auto_analyze:
         When true, the planner refreshes a table's ``ANALYZE`` statistics at
         planning time once enough DML has accumulated since the last
         snapshot (autovacuum-style damping).  Off by default: statistics are
         collected only by explicit ``ANALYZE`` (or :meth:`analyze`), the
         paper's interrogate-the-catalog workflow.
-    columnar_storage:
-        When true (default), new tables store each segment as typed packed
-        columns (:mod:`repro.engine.columnar`) and single-table WHERE
-        clauses may evaluate as segment-at-a-time selection bitmaps with
-        late row materialization; when false tables store row-tuple lists
-        and every WHERE runs per row.  Results are byte-identical either
-        way — the flag exists so the columnar parity suite and the
-        ``--columnar`` microbenchmark can compare the storage layouts.
-        Bitmap WHERE evaluation also requires ``compiled_execution``.
-    columnar_compression:
-        When true (default), columnar tables dictionary-encode text and
-        boolean columns (:class:`~repro.engine.columnar.DictColumn`) — the
-        storage shrinks to int16 codes and supported text predicates
-        (``=``, ``!=``, ``IN``, ``LIKE``) evaluate in code space as
-        selection bitmaps.  High-cardinality columns demote back to object
-        lists automatically.  Results are byte-identical either way — the
-        flag exists so the compression parity/fuzz suites and the
-        ``--compression`` microbenchmark can compare the encodings.  Has no
-        effect when ``columnar_storage`` is off.
     plan_cache:
         Capacity of the plan cache (:mod:`repro.engine.plancache`).  ``0``
         (the embedded default) disables caching: every ``execute`` parses
@@ -139,10 +117,7 @@ class Database:
         parallel_aggregation: bool = True,
         compiled_execution: bool = True,
         parallel: int = 0,
-        hash_joins: bool = True,
         auto_analyze: bool = False,
-        columnar_storage: bool = True,
-        columnar_compression: bool = True,
         plan_cache: int = 0,
         parallel_task_timeout: Optional[float] = None,
         parallel_task_retries: Optional[int] = None,
@@ -160,10 +135,7 @@ class Database:
         self.num_segments = num_segments
         self.parallel_aggregation = parallel_aggregation
         self.compiled_execution = compiled_execution
-        self.hash_joins = hash_joins
         self.auto_analyze = auto_analyze
-        self.columnar_storage = bool(columnar_storage)
-        self.columnar_compression = bool(columnar_compression)
         self.parallel = int(parallel)
         self.faults = faults
         self._worker_pool: Optional[SegmentWorkerPool] = (
@@ -336,8 +308,6 @@ class Database:
             num_segments=self.num_segments,
             distributed_by=distributed_by,
             temporary=temporary,
-            columnar_storage=self.columnar_storage,
-            columnar_compression=self.columnar_compression,
         )
         return self.catalog.create_table(table)
 

@@ -470,11 +470,6 @@ class Executor:
         num_segments = left.num_segments
         return _Relation(columns, rows, segment_ids, num_segments)
 
-    def _hash_joins_enabled(self) -> bool:
-        return getattr(self.database, "compiled_execution", True) and getattr(
-            self.database, "hash_joins", True
-        )
-
     def _join_pool(self):
         """The worker pool, when parallel join dispatch is permitted."""
         if not self.database.parallel_aggregation:
@@ -528,7 +523,9 @@ class Executor:
                 stats.record_join("cross", len(relation.rows))
             return relation
 
-        if self._hash_joins_enabled():
+        # Hash joins are the compiled tier's; the reference tier (and any
+        # condition the planner declines) runs the nested loop.
+        if self.database.compiled_execution:
             pool = self._join_pool()
             plan = plan_hash_join(
                 left.columns,
@@ -587,8 +584,8 @@ class Executor:
         of pushed-down prefilters and hash-join steps
         (:func:`repro.engine.join.classify_where_conjuncts`); WHERE conjuncts
         consumed by the plan are removed from the returned residual.  When
-        planning is not applicable (single source, no WHERE, hash joins
-        disabled, unsafe clause) the WHERE comes back untouched.
+        planning is not applicable (single source, no WHERE, the reference
+        tier, unsafe clause) the WHERE comes back untouched.
         """
         if not from_items:
             # SELECT without FROM: a single empty row.
@@ -596,7 +593,7 @@ class Executor:
         relations = [self._scan_from_item(item, parameters, stats) for item in from_items]
         if len(relations) == 1:
             return relations[0], where
-        if where is not None and self._hash_joins_enabled():
+        if where is not None and self.database.compiled_execution:
             planned = self._plan_multi_from(relations, where, parameters, stats)
             if planned is not None:
                 return planned
@@ -829,11 +826,8 @@ class Executor:
         if entries is None:
             return None
         columns = self._table_columns(ref, table)
-        rows: List[Tuple[Any, ...]] = []
-        segment_ids: List[int] = []
-        for segment, position in entries:
-            rows.append(table.segment_view(segment)[position])
-            segment_ids.append(segment)
+        rows = table.rows_at(entries)
+        segment_ids = [segment for segment, _ in entries]
         stats.rows_scanned_per_source.append(len(rows))
         stats.scan_details.append(
             ScanDetail(
@@ -865,9 +859,9 @@ class Executor:
     def _vectorized_single_table(
         self, statement: SelectStatement, parameters, stats: ExecutionStats
     ) -> Optional[_Relation]:
-        """Bitmap-vectorized WHERE over one columnar base table, or ``None``.
+        """Bitmap-vectorized WHERE over one base table, or ``None``.
 
-        When the FROM clause is a single columnar-stored table and the WHERE
+        When the FROM clause is a single base table and the WHERE
         clause is in the vector-compilable subset, evaluate the predicate
         segment-at-a-time over the packed columns into selection bitmaps —
         no per-row Python at all — and return a relation whose rows are the
@@ -887,8 +881,6 @@ class Executor:
         if not self.catalog.has_table(ref.name):
             return None  # the scan path raises the proper catalog error
         table = self.catalog.get_table(ref.name)
-        if not table.columnar:
-            return None
         columns = self._table_columns(ref, table)
         predicate = compile_predicate_vector(
             statement.where,
@@ -1509,8 +1501,6 @@ class Executor:
             num_segments=self.database.num_segments,
             distributed_by=statement.distributed_by,
             temporary=statement.temporary,
-            columnar_storage=getattr(self.database, "columnar_storage", True),
-            columnar_compression=getattr(self.database, "columnar_compression", True),
         )
         self.catalog.create_table(table)
         return ResultSet([], [], rowcount=0)
@@ -1538,8 +1528,6 @@ class Executor:
             num_segments=self.database.num_segments,
             distributed_by=statement.distributed_by,
             temporary=statement.temporary,
-            columnar_storage=getattr(self.database, "columnar_storage", True),
-            columnar_compression=getattr(self.database, "columnar_compression", True),
         )
         table.insert_many(result.rows)
         self.catalog.create_table(table)
@@ -1571,11 +1559,7 @@ class Executor:
             rows = full_rows
         watchers = self.catalog.incremental_matviews_on(table.name)
         before_version = table._data_version
-        before_lengths = (
-            [len(table.segment_view(s)) for s in range(table.num_segments)]
-            if watchers
-            else None
-        )
+        before_lengths = table.segment_sizes() if watchers else None
         count = table.insert_many(rows)
         stats = ExecutionStats(statement_kind="insert")
         if before_lengths is not None:
@@ -1591,10 +1575,10 @@ class Executor:
     def _match_masks(self, table: Table, where: Expression, env: _CompileEnv):
         """One WHERE match bitmap per segment off the packed columns, or None.
 
-        ``None`` (row storage, reference tier, compile decline, or a runtime
-        abort on any segment) sends the caller to the per-row predicate.
+        ``None`` (reference tier, compile decline, or a runtime abort on any
+        segment) sends the caller to the per-row predicate.
         """
-        if not table.columnar or not self.database.compiled_execution:
+        if not self.database.compiled_execution:
             return None
         vector = compile_predicate_vector(
             where, env.layout, [column.sql_type for column in table.schema], env.parameters
@@ -1641,20 +1625,24 @@ class Executor:
         updates: List[Tuple[List[int], List[Tuple[Any, ...]]]] = []
         updated = 0
         for segment in range(table.num_segments):
-            segment_rows = table.segment_view(segment)
             if segment_masks is not None:
-                positions = np.flatnonzero(segment_masks[segment]).tolist()
+                # Only the matched rows are read off the packed columns.
+                selected = np.flatnonzero(segment_masks[segment])
+                positions = selected.tolist()
+                rows = table.column_store(segment).rows_at(selected)
             elif predicate is None:  # no WHERE: every row matches
-                positions = list(range(len(segment_rows)))
+                rows = table.segment_view(segment)
+                positions = list(range(len(rows)))
             else:
+                segment_rows = table.segment_view(segment)
                 positions = [
                     position
                     for position, row in enumerate(segment_rows)
                     if predicate(row) is True
                 ]
+                rows = [segment_rows[position] for position in positions]
             new_rows: List[Tuple[Any, ...]] = []
-            for position in positions:
-                row = segment_rows[position]
+            for row in rows:
                 new_row = list(row)
                 for column_index, value_fn in assignments:
                     # The full-replace path coerced on reinsert; coerce the

@@ -346,10 +346,10 @@ def segment_runs(segment_ids: Sequence[int]) -> Optional[List[Tuple[int, int, in
 
 
 def _scan_parts(relation) -> Optional[List[Tuple[ColumnStore, np.ndarray]]]:
-    """Per-segment ``(store, selected positions)`` of a columnar table scan
-    (``None`` for any other relation)."""
+    """Per-segment ``(store, selected positions)`` of a table scan (``None``
+    for any other relation)."""
     table, selections = relation.source_table, relation.segment_selections
-    if table is None or not table.columnar:
+    if table is None:
         return None
     stores = [table.column_store(segment) for segment in range(table.num_segments)]
     if selections is None:

@@ -67,19 +67,6 @@ def _comparison_kind(value: Any) -> Optional[str]:
     return None
 
 
-def _column_values(rows, column: int):
-    """One segment's values for the indexed column, in position order.
-
-    Columnar segments (:class:`~repro.engine.columnar.ColumnStore`) expose
-    ``iter_column`` — the rebuild then walks the packed column directly and
-    never materializes row tuples; row-list segments index each tuple.
-    """
-    iter_column = getattr(rows, "iter_column", None)
-    if iter_column is not None:
-        return iter_column(column)
-    return (row[column] for row in rows)
-
-
 class BaseIndex:
     """Common shape of a secondary index on one column of one table."""
 
@@ -111,8 +98,9 @@ class BaseIndex:
         re-add it under ``new_value`` (same segment/position)."""
         raise NotImplementedError
 
-    def rebuild(self, segments: Sequence[Sequence[tuple]]) -> None:
-        """Rebuild from scratch over the table's segment row lists.
+    def rebuild(self, segments: Sequence[Any]) -> None:
+        """Rebuild from scratch over the table's segment stores, walking the
+        indexed packed column (no row tuples).
 
         Used for bulk loads, UPDATE's full replace, redistribution and ALTER
         RENAME — anywhere incremental maintenance would degenerate to
@@ -121,8 +109,8 @@ class BaseIndex:
         self.usable = True
         self.clear()
         column = self.column_index
-        for segment, rows in enumerate(segments):
-            for position, value in enumerate(_column_values(rows, column)):
+        for segment, store in enumerate(segments):
+            for position, value in enumerate(store.column(column)):
                 self.add(value, segment, position)
                 if not self.usable:
                     return
@@ -310,14 +298,14 @@ class SortedIndex(BaseIndex):
         self._entries.clear()
         self._key_kind = None
 
-    def rebuild(self, segments: Sequence[Sequence[tuple]]) -> None:
+    def rebuild(self, segments: Sequence[Any]) -> None:
         """Bulk build: collect, kind-check, sort once (O(n log n))."""
         self.usable = True
         self.clear()
         column = self.column_index
         pairs: List[Tuple[Any, Entry]] = []
-        for segment, rows in enumerate(segments):
-            for position, value in enumerate(_column_values(rows, column)):
+        for segment, store in enumerate(segments):
+            for position, value in enumerate(store.column(column)):
                 if is_null(value):
                     continue
                 if not self._admit(value):

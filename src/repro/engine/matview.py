@@ -587,11 +587,15 @@ def apply_insert_delta(
             if view.synced_versions.get(view.base_table) != before_version:
                 continue  # already stale (or synced elsewhere); leave for recompute
             if delta_rows is None:
+                # Only the appended range is read off the packed columns.
                 delta_rows = []
                 for segment in range(table.num_segments):
-                    segment_rows = table.segment_view(segment)
-                    for position in range(before_lengths[segment], len(segment_rows)):
-                        delta_rows.append((segment, position, segment_rows[position]))
+                    store = table.column_store(segment)
+                    start = before_lengths[segment]
+                    appended = store.rows_at(range(start, len(store)))
+                    delta_rows.extend(
+                        (segment, start + offset, row) for offset, row in enumerate(appended)
+                    )
             try:
                 plan = _maintenance_plan(executor, view)
                 for segment, position, row in delta_rows:

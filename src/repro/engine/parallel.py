@@ -33,10 +33,10 @@ Argument streams are shipped compactly: :class:`~repro.engine.vectorized.
 ColumnBatch` pickles float columns as packed C-double buffers (see its
 ``__reduce__``) and ``count(*)``'s constant column in O(1) space, so the
 dominant IPC cost for numeric workloads is one ``memcpy``-like transfer per
-segment rather than a per-value pickle loop.  With columnar-native storage
-(:mod:`repro.engine.columnar`, the default) this is near-zero-copy end to
-end: a NULL-free packed column exports its stored ``array('d')``/``array('q')``
-buffer as-is (``TypedColumn.packed_wire``) — no per-value scan even to
+segment rather than a per-value pickle loop.  Storage is columnar
+(:mod:`repro.engine.columnar`), so this is near-zero-copy end to end: a
+NULL-free packed column exports its stored ``array('d')``/``array('q')`` buffer
+as-is (``TypedColumn.packed_wire``) — no per-value scan even to
 *build* the wire format — and workers restore exact values via ``tolist()``.
 
 Two dispatch shapes exist.  **Ungrouped** (`run_aggregate`): one task per

@@ -68,12 +68,33 @@ _TABLE_FUNCTIONS = {"generate_series"}
 
 
 class _Parser:
+    #: Deepest nesting a statement may have: nested expressions (parentheses,
+    #: function arguments, CASE, ...), prefix NOT / sign chains and FROM
+    #: subqueries each count one level.  A level costs up to ~13 interpreter
+    #: frames of recursive descent, so this keeps the parser well below the
+    #: default recursion limit of 1,000 — deeper input is a syntax error, not
+    #: a ``RecursionError``.
+    MAX_DEPTH = 50
+
     def __init__(self, tokens: List[Token], sql: Optional[str] = None) -> None:
         self.tokens = tokens
         self.position = 0
+        self.depth = 0
         # Original statement text, when available: lets CREATE MATERIALIZED
         # VIEW capture its defining-query text for catalog observability.
         self._sql = sql
+
+    def _nested(self, parse):
+        """``parse()`` one nesting level deeper, refusing past ``MAX_DEPTH``."""
+        if self.depth >= self.MAX_DEPTH:
+            raise SQLSyntaxError(
+                f"statement nested more than {self.MAX_DEPTH} levels deep",
+                self.current.position,
+            )
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     # -- token helpers -------------------------------------------------------
 
@@ -268,7 +289,7 @@ class _Parser:
     def parse_from_item(self):
         if self.accept("operator", "("):
             # Either a subquery or a parenthesized join; only subqueries supported.
-            select = self.parse_select_union()
+            select = self._nested(self.parse_select_union)
             self.expect("operator", ")")
             self.accept_keyword("as")
             alias = self.expect_name()
@@ -556,7 +577,7 @@ class _Parser:
     # -- expressions -------------------------------------------------------------------
 
     def parse_expression(self) -> Expression:
-        return self.parse_or()
+        return self._nested(self.parse_or)
 
     def parse_or(self) -> Expression:
         left = self.parse_and()
@@ -572,7 +593,7 @@ class _Parser:
 
     def parse_not(self) -> Expression:
         if self.accept_keyword("not"):
-            return UnaryOp("not", self.parse_not())
+            return UnaryOp("not", self._nested(self.parse_not))
         return self.parse_comparison()
 
     def parse_comparison(self) -> Expression:
@@ -646,7 +667,7 @@ class _Parser:
     def parse_unary(self) -> Expression:
         if self.current.kind == "operator" and self.current.value in ("-", "+"):
             op = self.advance().value
-            return UnaryOp(op, self.parse_unary())
+            return UnaryOp(op, self._nested(self.parse_unary))
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expression:

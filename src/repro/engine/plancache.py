@@ -381,10 +381,8 @@ class SimpleSelectPlan:
                     break
         if entries is None:
             return "probe"  # no usable index left / probe declined: fall back
-        rows = []
-        for segment, position in entries:
-            row = table.segment_view(segment)[position]
-            rows.append(tuple(row[i] for i in self.column_indices))
+        columns = self.column_indices
+        rows = [tuple([row[i] for i in columns]) for row in table.rows_at(entries)]
         stats.rows_scanned_per_source.append(len(rows))
         stats.scan_details.append(
             ScanDetail(table.name, "index", len(rows), index_name=index_name)

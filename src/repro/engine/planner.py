@@ -828,7 +828,7 @@ class _ExplainBuilder:
         detail = ""
         if join.kind == "cross" or join.condition is None:
             label = "Nested Loop (cross)"
-        elif self.executor._hash_joins_enabled():
+        elif self.executor.database.compiled_execution:
             left_columns = self._static_columns(join.left)
             right_columns = self._static_columns(join.right)
             if left_columns is not None and right_columns is not None:
@@ -982,7 +982,7 @@ class _ExplainBuilder:
         if (
             statement.where is not None
             and all(columns is not None for columns in static)
-            and self.executor._hash_joins_enabled()
+            and self.executor.database.compiled_execution
         ):
             all_columns = [column for columns in static for column in columns]
             source_of: List[int] = []

@@ -9,22 +9,21 @@ segment and combines the partial states with the merge function
 into segments, so the executor can run per-segment scans and the benchmark
 harness can measure per-segment work.
 
-Storage comes in two modes:
-
-* **Columnar** (the default): each segment is a
-  :class:`~repro.engine.columnar.ColumnStore` of typed packed columns —
-  ``array('d')``/``array('q')`` plus a null bitmap for numeric columns,
-  object lists otherwise.  Row tuples are a derived, per-segment-cached
-  view; the vectorized WHERE path, batch aggregate kernels and worker
-  shipping read the packed columns directly.
-* **Row tuples** (``Database(columnar_storage=False)``): each segment is a
-  plain list of row tuples and the columnar view is derived and cached, as
-  in the original engine.  Both modes are observationally identical —
-  ``tests/engine/test_columnar.py`` holds them to byte-identical results.
+Every segment is a :class:`~repro.engine.columnar.ColumnStore` of typed
+packed columns — ``array('d')``/``array('q')`` plus a null bitmap for
+numeric columns, dictionary codes for text and booleans, object lists
+otherwise.  The packed columns are the source of truth: the vectorized
+WHERE path, the grouping kernel, batch aggregate kernels and worker
+shipping read them directly, point reads and DML deltas read single rows
+(:meth:`ColumnStore.rows_at`), and only consumers that need every row
+(sequential scans, per-row predicate DML) build the segment's cached row
+view (:meth:`segment_view`).
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError, TypeMismatchError
@@ -71,14 +70,6 @@ class Table:
     temporary:
         Whether the table is a session temp table (the inter-iteration state
         tables created by driver functions are temporary).
-    columnar_storage:
-        When true (default), segments store typed packed columns
-        (:class:`~repro.engine.columnar.ColumnStore`); when false, lists of
-        row tuples.  See the module docstring.
-    columnar_compression:
-        When true (default), columnar segments dictionary-encode text and
-        boolean columns (:class:`~repro.engine.columnar.DictColumn`).  No
-        effect in row-tuple mode.
     """
 
     def __init__(
@@ -89,8 +80,6 @@ class Table:
         num_segments: int = 1,
         distributed_by: Optional[str] = None,
         temporary: bool = False,
-        columnar_storage: bool = True,
-        columnar_compression: bool = True,
     ) -> None:
         if num_segments < 1:
             raise ExecutionError("a table needs at least one segment")
@@ -99,40 +88,24 @@ class Table:
         self.temporary = temporary
         self.num_segments = num_segments
         self.distributed_by = distributed_by
-        self.columnar_storage = bool(columnar_storage)
-        self.columnar_compression = bool(columnar_compression)
         if distributed_by is not None:
             # Validates the column exists.
             self._distribution_index: Optional[int] = schema.index_of(distributed_by)
         else:
             self._distribution_index = None
-        self._segments: List[Any] = [self._new_segment() for _ in range(num_segments)]
+        self._segments: List[ColumnStore] = [ColumnStore(self.schema) for _ in range(num_segments)]
         self._row_count = 0
         self._round_robin_cursor = 0
-        # Monotonic mutation counters: ``_data_version`` for the whole table
-        # (ANALYZE statistics snapshots record it for staleness tracking) and
-        # one counter per segment, so derived per-segment views invalidate
-        # only for the segments a mutation actually touched.
+        # Monotonic mutation counter (ANALYZE statistics snapshots and the
+        # plan cache record it for staleness tracking).  Per-segment derived
+        # views live on the segment's store and invalidate there.
         self._data_version = 0
-        self._segment_versions: List[int] = [0] * num_segments
-        self._columnar_cache: dict = {}
         #: Secondary indexes attached by the catalog
         #: (:mod:`repro.engine.index`), maintained by the mutation hooks
         #: below: inserts append entries, TRUNCATE clears, deletes remap one
         #: segment's surviving positions, and bulk loads / full replaces /
         #: redistribution rebuild.
         self._indexes: List = []
-
-    def _new_segment(self):
-        if self.columnar_storage:
-            return ColumnStore(self.schema, compression=self.columnar_compression)
-        return []
-
-    def _touch(self, segment: int) -> None:
-        """Record a mutation of one segment (version counters + caches)."""
-        self._data_version += 1
-        self._segment_versions[segment] += 1
-        self._columnar_cache.pop(segment, None)
 
     # -- basic protocol -----------------------------------------------------
 
@@ -149,15 +122,8 @@ class Table:
     def column_names(self) -> List[str]:
         return self.schema.names
 
-    @property
-    def columnar(self) -> bool:
-        """Whether segments store typed packed columns (vectorizable)."""
-        return self.columnar_storage
-
-    def column_store(self, segment: int) -> Optional[ColumnStore]:
-        """One segment's :class:`ColumnStore`, or ``None`` in row mode."""
-        if not self.columnar_storage:
-            return None
+    def column_store(self, segment: int) -> ColumnStore:
+        """One segment's :class:`ColumnStore`."""
         return self._segments[segment]
 
     # -- mutation -----------------------------------------------------------
@@ -193,7 +159,7 @@ class Table:
         segment = self._segment_for(row)
         self._segments[segment].append(row)
         self._row_count += 1
-        self._touch(segment)
+        self._data_version += 1
         if self._indexes:
             position = len(self._segments[segment]) - 1
             for index in self._indexes:
@@ -232,12 +198,10 @@ class Table:
 
     def truncate(self) -> None:
         """Remove all rows but keep the schema and distribution policy."""
-        self._segments = [self._new_segment() for _ in range(self.num_segments)]
+        self._segments = [ColumnStore(self.schema) for _ in range(self.num_segments)]
         self._row_count = 0
         self._round_robin_cursor = 0
         self._data_version += 1
-        self._segment_versions = [v + 1 for v in self._segment_versions]
-        self._columnar_cache.clear()
         for index in self._indexes:
             index.clear()
 
@@ -275,17 +239,12 @@ class Table:
             segment = self._segments[segment_index]
             old_values: List[List[Any]] = []
             if incremental:
-                view = self.segment_view(segment_index)
                 old_values = [
-                    [view[position][index.column_index] for position in positions]
+                    [segment.column(index.column_index)[position] for position in positions]
                     for index in affected
                 ]
-            if self.columnar_storage:
-                segment.set_rows(positions, rows, changed_columns)
-            else:
-                for position, row in zip(positions, rows):
-                    segment[position] = tuple(row)
-            self._touch(segment_index)
+            segment.set_rows(positions, rows, changed_columns)
+            self._data_version += 1
             if incremental:
                 for index, olds in zip(affected, old_values):
                     for position, old, row in zip(positions, olds, rows):
@@ -310,11 +269,12 @@ class Table:
         """
         deleted = 0
         for segment_index in range(self.num_segments):
-            rows = self.segment_view(segment_index)
             kept_positions = [
-                position for position, row in enumerate(rows) if not predicate(row)
+                position
+                for position, row in enumerate(self.segment_view(segment_index))
+                if not predicate(row)
             ]
-            deleted += self._apply_keep(segment_index, kept_positions, rows)
+            deleted += self._apply_keep(segment_index, kept_positions)
         if deleted:
             self._row_count -= deleted
         return deleted
@@ -329,24 +289,19 @@ class Table:
         """
         deleted = 0
         for segment_index, kept_positions in enumerate(kept_per_segment):
-            deleted += self._apply_keep(segment_index, kept_positions, None)
+            deleted += self._apply_keep(segment_index, kept_positions)
         if deleted:
             self._row_count -= deleted
         return deleted
 
-    def _apply_keep(self, segment_index: int, kept_positions, rows) -> int:
+    def _apply_keep(self, segment_index: int, kept_positions) -> int:
         """Keep only ``kept_positions`` on one segment; returns rows removed."""
         segment = self._segments[segment_index]
         removed = len(segment) - len(kept_positions)
         if not removed:
             return 0
-        if self.columnar_storage:
-            segment.keep_positions(kept_positions)
-        else:
-            if rows is None:
-                rows = segment
-            self._segments[segment_index] = [rows[p] for p in kept_positions]
-        self._touch(segment_index)
+        segment.keep_positions(kept_positions)
+        self._data_version += 1
         for index in self._indexes:
             index.remap_segment(segment_index, list(kept_positions))
         return removed
@@ -382,38 +337,25 @@ class Table:
         return list(self.segment_view(segment))
 
     def segment_view(self, segment: int) -> Sequence[Row]:
-        """Read-only view of one segment's rows (no copy — do not mutate).
+        """Read-only view of every row on one segment (no copy — do not
+        mutate): the store's cached row-tuple materialization, built lazily
+        and invalidated when *that segment* next mutates.  Reading a few rows
+        goes through :meth:`ColumnStore.rows_at` instead."""
+        return self._segments[segment].rows_view()
 
-        In columnar mode this is the segment's cached row-tuple
-        materialization (built lazily, invalidated per segment on mutation);
-        in row mode it is the backing list itself.
-        """
-        store = self._segments[segment]
-        if self.columnar_storage:
-            return store.rows_view()
-        return store
+    def rows_at(self, entries: Iterable[Tuple[int, int]]) -> List[Row]:
+        """Row tuples at ``(segment, position)`` entries (an index probe's
+        result), in entry order — read off the packed columns, never
+        building a segment's row view."""
+        rows: List[Row] = []
+        for segment, run in groupby(entries, key=itemgetter(0)):
+            rows.extend(self._segments[segment].rows_at([position for _, position in run]))
+        return rows
 
     def segment_columns(self, segment: int) -> Tuple[Sequence[Any], ...]:
-        """Columnar view of one segment.
-
-        In columnar mode these are the live packed columns — the source of
-        truth, no materialization at all.  In row mode the transposed view is
-        cached per segment until *that segment* next mutates (DML touching
-        one segment never recomputes another's view).
-        """
-        if self.columnar_storage:
-            return self._segments[segment].columns_view()
-        entry = self._columnar_cache.get(segment)
-        version = self._segment_versions[segment]
-        if entry is not None and entry[0] == version:
-            return entry[1]
-        rows = self._segments[segment]
-        if rows:
-            columns = tuple(list(column) for column in zip(*rows))
-        else:
-            columns = tuple([] for _ in self.schema)
-        self._columnar_cache[segment] = (version, columns)
-        return columns
+        """One segment's live packed columns — the source of truth, no
+        materialization at all."""
+        return self._segments[segment].columns_view()
 
     def segment_sizes(self) -> List[int]:
         """Number of rows per segment (used to report distribution skew)."""
@@ -445,12 +387,10 @@ class Table:
         self._distribution_index = (
             self.schema.index_of(self.distributed_by) if self.distributed_by else None
         )
-        self._segments = [self._new_segment() for _ in range(num_segments)]
+        self._segments = [ColumnStore(self.schema) for _ in range(num_segments)]
         self._row_count = 0
         self._round_robin_cursor = 0
         self._data_version += 1
-        self._segment_versions = [0] * num_segments
-        self._columnar_cache.clear()
         for row in rows:
             self._segments[self._segment_for(row)].append(row)
             self._row_count += 1

@@ -1,16 +1,18 @@
-"""Columnar storage vs row-tuple storage parity.
+"""Columnar storage: the compiled tier against the reference tier.
 
-Typed packed columns (:mod:`repro.engine.columnar`) are the default storage;
-``Database(columnar_storage=False)`` keeps the original row-tuple lists.  The
-two representations must be observationally identical — byte-identical query
-results, identical DML effects, identical errors — with the columnar engine
-additionally running supported WHERE clauses as selection bitmaps over the
-packed columns (``ExecutionStats.where_vectorized``).  This suite runs a
-query corpus and a mirrored DML script through both storages and asserts
-exact equality, plus unit tests for the storage layer itself: the None vs
-NaN round-trip through the null bitmap, int-overflow demotion to object
-columns (and the resulting vectorization fallback), per-segment cache
-invalidation, and the rows-touched accounting of bitmap scans.
+Typed packed columns (:mod:`repro.engine.columnar`) are the only storage.
+The compiled tier runs supported WHERE clauses as selection bitmaps over the
+packed columns (``ExecutionStats.where_vectorized``), groups and ranks on
+the columns, and reads single rows without building a segment's row view;
+the reference tier (``compiled_execution=False``) reads every row through
+the row view and evaluates per row.  The two must be observationally
+identical — byte-identical query results, identical DML effects, identical
+errors.  This suite runs a query corpus and a mirrored DML script through
+both tiers and asserts exact equality, plus unit tests for the storage layer
+itself: the None vs NaN round-trip through the null bitmap, int-overflow
+demotion to object columns (and the resulting vectorization fallback),
+per-segment row-cache invalidation, and the rows-touched accounting of
+bitmap scans.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import random
 import pytest
 
 from repro import Database
+from repro.engine.columnar import ColumnStore
 
 
 def _seed_rows(count: int = 120, seed: int = 7):
@@ -36,8 +39,8 @@ def _seed_rows(count: int = 120, seed: int = 7):
     return rows
 
 
-def _make_db(columnar: bool, rows) -> Database:
-    db = Database(num_segments=4, columnar_storage=columnar)
+def _make_db(compiled: bool, rows) -> Database:
+    db = Database(num_segments=4, compiled_execution=compiled)
     db.create_table(
         "t",
         [
@@ -55,7 +58,7 @@ def _make_db(columnar: bool, rows) -> Database:
 
 
 def _make_pair(rows):
-    """Two databases with identical contents: columnar on, columnar off."""
+    """Two databases with identical contents: compiled tier, reference tier."""
     return _make_db(True, rows), _make_db(False, rows)
 
 
@@ -79,17 +82,22 @@ def _values_identical(left, right) -> bool:
     return left == right
 
 
-def _assert_results_identical(columnar, rowwise, label):
-    assert columnar.columns == rowwise.columns, label
-    assert len(columnar.rows) == len(rowwise.rows), label
-    for row_c, row_r in zip(columnar.rows, rowwise.rows):
+def _assert_results_identical(compiled, reference, label):
+    assert compiled.columns == reference.columns, label
+    assert len(compiled.rows) == len(reference.rows), label
+    for row_c, row_r in zip(compiled.rows, reference.rows):
         assert _values_identical(tuple(row_c), tuple(row_r)), (
             f"{label}: {row_c!r} != {row_r!r}"
         )
 
 
+#: The variance family's batch kernel agrees with the reference tier's
+#: Welford fold to floating-point round-off only, so this one query compares
+#: approximately.
+VARIANCE_QUERY = "SELECT var_samp(a), stddev(a) FROM t WHERE b IS NOT NULL"
+
 # Vectorizable WHERE shapes, fallback shapes, aggregates, GROUP BY, joins —
-# every query must agree exactly regardless of which path each storage takes.
+# every query must agree exactly regardless of which path each tier takes.
 CORPUS = [
     "SELECT id, a, b FROM t WHERE a < 0 ORDER BY id",
     "SELECT id FROM t WHERE a BETWEEN -10 AND 25 ORDER BY id",
@@ -111,12 +119,12 @@ CORPUS = [
     "SELECT count(*) FROM t WHERE a < 0",
     "SELECT count(*), sum(a), avg(a), min(b), max(b) FROM t WHERE a > -20",
     "SELECT sum(n) FROM t WHERE n BETWEEN -500 AND 500",
-    "SELECT var_samp(a), stddev(a) FROM t WHERE b IS NOT NULL",
+    VARIANCE_QUERY,
     "SELECT grp, count(*), sum(a) FROM t WHERE a < 10 GROUP BY grp ORDER BY grp",
     "SELECT grp, count(*) FROM t GROUP BY grp HAVING count(*) > 30 ORDER BY grp",
     "SELECT count(DISTINCT grp) FROM t WHERE id > 10",
     "SELECT array_agg(grp) FROM t WHERE id <= 6",
-    # Projection / ordering / joins on top of either storage.
+    # Projection / ordering / joins on top of the packed columns.
     "SELECT id, a + b, grp || '-' || s FROM t ORDER BY id",
     "SELECT id FROM t ORDER BY a DESC, id LIMIT 9",
     "SELECT t1.id, t2.id FROM t t1 JOIN t t2 ON t1.id = t2.id - 1 WHERE t1.a < 0 ORDER BY t1.id",
@@ -125,11 +133,13 @@ CORPUS = [
 
 
 @pytest.mark.parametrize("query", CORPUS)
-def test_columnar_matches_row_storage(db_pair, query):
-    columnar_db, row_db = db_pair
-    _assert_results_identical(
-        columnar_db.execute(query), row_db.execute(query), query
-    )
+def test_columnar_matches_reference_tier(db_pair, query):
+    columnar_db, reference_db = db_pair
+    compiled, reference = columnar_db.execute(query), reference_db.execute(query)
+    if query == VARIANCE_QUERY:
+        assert compiled.rows == [pytest.approx(row, rel=1e-12) for row in reference.rows]
+    else:
+        _assert_results_identical(compiled, reference, query)
 
 
 DML_SCRIPT = [
@@ -144,36 +154,36 @@ DML_SCRIPT = [
 
 
 def test_dml_parity_step_by_step():
-    columnar_db, row_db = _make_pair(_seed_rows(seed=21))
+    columnar_db, reference_db = _make_pair(_seed_rows(seed=21))
     probe = "SELECT * FROM t ORDER BY id"
     for statement in DML_SCRIPT:
         result_c = columnar_db.execute(statement)
-        result_r = row_db.execute(statement)
+        result_r = reference_db.execute(statement)
         assert result_c.rowcount == result_r.rowcount, statement
         _assert_results_identical(
-            columnar_db.execute(probe), row_db.execute(probe), statement
+            columnar_db.execute(probe), reference_db.execute(probe), statement
         )
 
 
 @pytest.mark.parametrize("rows", [[], [(1, "a", 2.5, None, 7, "one")]])
 def test_empty_and_single_row_tables(rows):
-    columnar_db, row_db = _make_pair(rows)
+    columnar_db, reference_db = _make_pair(rows)
     for query in [
         "SELECT * FROM t ORDER BY id",
         "SELECT count(*), sum(a) FROM t WHERE a > 0",
         "SELECT id FROM t WHERE a BETWEEN 0 AND 10",
     ]:
         _assert_results_identical(
-            columnar_db.execute(query), row_db.execute(query), query
+            columnar_db.execute(query), reference_db.execute(query), query
         )
     assert columnar_db.execute("DELETE FROM t WHERE a < 100").rowcount == (
-        row_db.execute("DELETE FROM t WHERE a < 100").rowcount
+        reference_db.execute("DELETE FROM t WHERE a < 100").rowcount
     )
 
 
 def test_null_heavy_table_parity():
     rows = [(i, None, None, None, None, None) for i in range(1, 41)]
-    columnar_db, row_db = _make_pair(rows)
+    columnar_db, reference_db = _make_pair(rows)
     for query in [
         "SELECT * FROM t ORDER BY id",
         "SELECT count(a), count(*) FROM t",
@@ -182,7 +192,7 @@ def test_null_heavy_table_parity():
         "SELECT sum(a), avg(b) FROM t WHERE b IS NOT NULL",
     ]:
         _assert_results_identical(
-            columnar_db.execute(query), row_db.execute(query), query
+            columnar_db.execute(query), reference_db.execute(query), query
         )
 
 
@@ -227,7 +237,7 @@ def test_int_overflow_demotes_column_and_falls_back():
 def test_vectorized_scan_stats_and_accounting():
     """rows_scanned counts bitmap width (rows touched); rows_matched the
     popcount; selectivity is their ratio."""
-    columnar_db, row_db = _make_pair(_seed_rows())
+    columnar_db, reference_db = _make_pair(_seed_rows())
     total = columnar_db.query_scalar("SELECT count(*) FROM t")
     query = "SELECT count(*) FROM t WHERE a < 0"
     result = columnar_db.execute(query)
@@ -236,8 +246,8 @@ def test_vectorized_scan_stats_and_accounting():
     matched = result.stats.rows_matched
     assert result.stats.bitmap_selectivity == pytest.approx(matched / total)
     assert result.stats.scan_details[0].vectorized is True
-    # Row storage answers identically but never vectorizes.
-    row_result = row_db.execute(query)
+    # The reference tier answers identically but never vectorizes.
+    row_result = reference_db.execute(query)
     assert row_result.rows == result.rows
     assert row_result.stats.where_vectorized is False
     assert row_result.stats.bitmap_selectivity is None
@@ -259,7 +269,7 @@ def test_dml_stats_report_vectorized_where():
 
 
 def test_explain_analyze_renders_vectorized_flag(db_pair):
-    columnar_db, row_db = db_pair
+    columnar_db, reference_db = db_pair
     plan_c = "\n".join(
         row[0]
         for row in columnar_db.execute(
@@ -269,29 +279,77 @@ def test_explain_analyze_renders_vectorized_flag(db_pair):
     assert "Vectorized: yes" in plan_c
     plan_r = "\n".join(
         row[0]
-        for row in row_db.execute(
+        for row in reference_db.execute(
             "EXPLAIN ANALYZE SELECT count(*) FROM t WHERE a < 0"
         ).rows
     )
     assert "Vectorized: no" in plan_r
 
 
-def test_per_segment_cache_invalidation_row_mode():
-    """Satellite regression: mutating one segment must not invalidate other
-    segments' cached columnar views (row-tuple storage caches per segment)."""
-    db = Database(num_segments=3, columnar_storage=False)
+def test_per_segment_row_cache_invalidation():
+    """Mutating one segment must leave the other segments' cached row views
+    (``ColumnStore.rows_view``) in place."""
+    db = Database(num_segments=3)
     db.create_table("c", [("id", "integer"), ("x", "double precision")])
     table = db.catalog.get_table("c")
     # Round-robin placement: rows land on segments 0, 1, 2, 0, ...
     table.insert((1, 1.0))
     table.insert((2, 2.0))
     table.insert((3, 3.0))
-    warm = [table.segment_columns(segment) for segment in range(3)]
+    warm = [table.column_store(segment).rows_view() for segment in range(3)]
     table.insert((4, 4.0))  # round-robin cursor → segment 0
-    assert table.segment_columns(1) is warm[1]
-    assert table.segment_columns(2) is warm[2]
-    assert table.segment_columns(0) is not warm[0]
-    assert list(table.segment_columns(0)[0]) == [1, 4]
+    assert table.column_store(1).rows_view() is warm[1]
+    assert table.column_store(2).rows_view() is warm[2]
+    assert table.column_store(0).rows_view() is not warm[0]
+    assert table.column_store(0).rows_view() == [(1, 1.0), (4, 4.0)]
+
+
+def test_point_reads_and_dml_deltas_never_build_the_row_view(monkeypatch):
+    """A write drops its segment's cached row view; the statements that need
+    only a few rows must not rebuild it (``ColumnStore.rows_view`` builds
+    every row of the segment).  Each statement below follows a write."""
+    db = Database(num_segments=4, plan_cache=16)
+    db.create_table(
+        "w", [("id", "integer"), ("g", "integer"), ("x", "double precision")],
+        distributed_by="id",
+    )
+    db.load_rows("w", [(i, i % 5, float(i)) for i in range(2000)])
+    db.execute("CREATE INDEX w_id ON w (id)")
+    db.execute("CREATE INDEX w_x ON w (x)")
+    db.execute("CREATE MATERIALIZED VIEW w_sums AS SELECT g, count(*), sum(x) FROM w GROUP BY g")
+    built = []
+    rows_view = ColumnStore.rows_view
+    monkeypatch.setattr(
+        ColumnStore, "rows_view", lambda store: built.append(store) or rows_view(store)
+    )
+
+    insert = db.execute("INSERT INTO w VALUES (500, 1, 5.0), (501, 2, 6.0)")
+    assert insert.stats.matview_deltas_applied == 1
+    assert built == [], "INSERT into a table with a view"
+
+    update = db.execute("UPDATE w SET x = 1.5 WHERE id = 7")
+    assert update.rowcount == 1 and update.stats.where_vectorized
+    assert built == [], "bitmap point UPDATE"
+
+    cached = db.execute("SELECT id, x FROM w WHERE id = 7")
+    assert cached.rows == [(7, 1.5)]
+    assert built == [], "cached point read after a write"
+
+    db.execute("UPDATE w SET g = 4 WHERE id = 7")
+    indexed = db.execute("SELECT id, g FROM w WHERE id = 7 AND x > 0")
+    assert indexed.rows == [(7, 4)]
+    assert indexed.stats.scan_details[0].access == "index"
+    assert built == [], "index point read after a write"
+
+    # Read-mostly traffic does get the view back: once the point reads since
+    # the last write have cost about what a build does, the segment builds it.
+    [(segment, _)] = db.catalog.get_index("w_id").probe_eq(7)
+    store = db.table("w").column_store(segment)
+    reads = 0
+    while store not in built:
+        db.execute("SELECT id, x FROM w WHERE id = 7")
+        reads += 1
+    assert built == [store] and reads <= len(store) // ColumnStore._CACHE_AFTER
 
 
 def test_column_store_take_preserves_values():
@@ -313,11 +371,11 @@ def test_large_int_comparison_against_float_falls_back_exactly():
     """int64 values beyond 2**53 compare exactly (the vector path must
     abort rather than round through float64)."""
     huge = 2**53 + 1
-    columnar_db, row_db = _make_pair([])
-    for db in (columnar_db, row_db):
+    columnar_db, reference_db = _make_pair([])
+    for db in (columnar_db, reference_db):
         db.create_table("p", [("id", "integer"), ("v", "bigint")])
         db.load_rows("p", [(1, huge), (2, huge - 1), (3, 0)])
     query = f"SELECT id FROM p WHERE v > {float(2**53)!r} ORDER BY id"
     _assert_results_identical(
-        columnar_db.execute(query), row_db.execute(query), query
+        columnar_db.execute(query), reference_db.execute(query), query
     )

@@ -225,7 +225,7 @@ def test_demotion_mid_insert_is_observationally_invisible(monkeypatch):
 
 def test_create_index_and_delete_remap_compressed_positions():
     db = _make_db()
-    twin = _make_db(columnar_storage=False)
+    twin = _make_db(compiled_execution=False)
     rows = [(i, "abcd"[i % 4]) for i in range(1, 101)]
     for target in (db, twin):
         target.load_rows("t", rows)

@@ -1,13 +1,26 @@
-"""Randomized storage-parity fuzzing across the three storage configurations.
+"""Randomized storage fuzzing against an in-test model of the table.
 
-Every scenario builds three databases with identical contents — dictionary
-compression on (the default), ``columnar_storage=False`` (row tuples), and
-``columnar_compression=False`` (packed columns, no dictionaries) — then runs
-a randomized script of DML and queries against all three.  After every
-mutation the full table must be byte-identical across configurations
-(type-exact values, NaN round-trips as NaN, None as None), DML rowcounts
-must agree, and every SELECT must agree on both its result set and its
-``ExecutionStats`` row accounting (``rows_scanned`` / ``rows_matched``).
+Every scenario builds two databases with identical contents — the default
+(bitmap WHERE, code-space lookup tables, columnar grouping, index probes,
+in-place bitmap DML over the packed columns) and a ``compiled_execution=False``
+twin (the row-at-a-time reference evaluator, none of those paths) — plus a
+model that shares no engine code: a ``dict`` from ``id`` to the row tuple.
+A randomized script of DML and queries runs against all of them:
+
+* INSERT appends the batch to the model;
+* UPDATE and DELETE apply to the ids the twin's ``SELECT id FROM t WHERE …``
+  returns just before the statement (the SET values are literals, so the
+  model applies them directly).
+
+After every mutation ``SELECT * FROM t ORDER BY id`` must be byte-identical
+to the model on both databases (type-exact values, NaN round-trips as NaN,
+None as None) and DML rowcounts must equal the model's matched ids.  Every
+query must agree across the databases, ``SELECT *`` queries must equal the
+model's rows for the matched ids, ``rows_matched`` must equal the model's
+matched count, and ``rows_scanned`` must agree wherever both databases ran
+a sequential scan.  The model is what catches a storage bug both databases
+share: a broken ``ColumnStore.set_rows`` or ``keep_positions`` corrupts the
+twin's reads too.
 
 A quarter of the seeds shrink ``DictColumn.MAX_DISTINCT`` to a handful of
 codes so that high-cardinality text columns demote from dictionary to plain
@@ -25,6 +38,7 @@ import pytest
 
 from repro import Database
 from repro.engine import columnar
+from repro.errors import ReproError
 
 
 SEEDS = list(range(25))
@@ -102,17 +116,12 @@ def _values_identical(left, right) -> bool:
     return left == right
 
 
-def _assert_same_rows(results, label):
-    base = results[0]
-    for other, name in zip(results[1:], ("row-mode", "uncompressed")):
-        assert base.columns == other.columns, f"{label}: columns vs {name}"
-        assert len(base.rows) == len(other.rows), (
-            f"{label}: {len(base.rows)} rows vs {len(other.rows)} ({name})"
+def _assert_rows(got, expected, label):
+    assert len(got) == len(expected), f"{label}: {len(got)} rows vs {len(expected)}"
+    for row_g, row_e in zip(got, expected):
+        assert _values_identical(tuple(row_g), tuple(row_e)), (
+            f"{label}: {row_g!r} != {row_e!r}"
         )
-        for row_c, row_o in zip(base.rows, other.rows):
-            assert _values_identical(tuple(row_c), tuple(row_o)), (
-                f"{label} vs {name}: {row_c!r} != {row_o!r}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +179,17 @@ def _random_where(rng, picked, max_id):
 
 
 def _random_query(rng, picked, max_id):
+    """``(WHERE clause, statement)``; ``SELECT *`` statements order by id."""
     where = _random_where(rng, picked, max_id)
     roll = rng.random()
     if roll < 0.2:
-        return f"SELECT count(*) FROM t WHERE {where}"
+        return where, f"SELECT count(*) FROM t WHERE {where}"
     if roll < 0.35:
         numeric = [n for n, k in picked if k in ("num", "count")]
         if numeric:
             target = rng.choice(numeric)
-            return f"SELECT count(*), min({target}), max({target}) FROM t WHERE {where}"
-    return f"SELECT * FROM t WHERE {where} ORDER BY id"
+            return where, f"SELECT count(*), min({target}), max({target}) FROM t WHERE {where}"
+    return where, f"SELECT * FROM t WHERE {where} ORDER BY id"
 
 
 # ---------------------------------------------------------------------------
@@ -187,37 +197,47 @@ def _random_query(rng, picked, max_id):
 # ---------------------------------------------------------------------------
 
 
-def _make_trio(num_segments, distributed_by, columns, rows):
-    configs = [
-        {"columnar_storage": True, "columnar_compression": True},
-        {"columnar_storage": False},
-        {"columnar_storage": True, "columnar_compression": False},
-    ]
+def _make_pair(num_segments, distributed_by, columns, rows):
+    """The default database and its ``compiled_execution=False`` twin."""
     databases = []
-    for config in configs:
-        db = Database(num_segments=num_segments, **config)
+    for compiled in (True, False):
+        db = Database(num_segments=num_segments, compiled_execution=compiled)
         db.create_table("t", columns, distributed_by=distributed_by)
         db.load_rows("t", rows)
         databases.append(db)
     return databases
 
 
-def _run_everywhere(databases, statement, label):
+def _run_both(databases, statement, label):
+    """Both results, or ``None`` when both raised (parity includes errors)."""
     results = []
     for db in databases:
         try:
             results.append(db.execute(statement))
-        except Exception as exc:  # parity includes errors
+        except ReproError as exc:
             results.append(exc)
     kinds = [type(r) for r in results]
-    assert kinds.count(kinds[0]) == len(kinds), f"{label}: mixed outcomes {kinds}"
+    assert kinds[0] is kinds[1], f"{label}: mixed outcomes {kinds}"
     if isinstance(results[0], Exception):
         return None
     return results
 
 
+def _matching_ids(twin, where):
+    """The ids the twin's WHERE selects, or ``None`` when it raises."""
+    try:
+        result = twin.execute(f"SELECT id FROM t WHERE {where} ORDER BY id")
+    except ReproError:
+        return None
+    return [row[0] for row in result.rows]
+
+
+def _seq_scanned(result):
+    return all(detail.access == "seq" for detail in result.stats.scan_details)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_storage_parity_fuzz(seed, monkeypatch):
+def test_storage_fuzz_against_model(seed, monkeypatch):
     rng = random.Random(seed)
     if seed % 4 == 0:
         # Force mid-script demotion: high-cardinality text columns blow the
@@ -225,18 +245,23 @@ def test_storage_parity_fuzz(seed, monkeypatch):
         monkeypatch.setattr(columnar.DictColumn, "MAX_DISTINCT", 8)
 
     columns, picked = _random_schema(rng)
+    position_of = {name: i for i, (name, _) in enumerate(columns)}
     num_segments = rng.randrange(1, 5)
     distributed_by = "id" if rng.random() < 0.7 else None
     next_id = rng.randrange(40, 120) + 1
     rows = _random_rows(rng, picked, 1, next_id - 1)
-    databases = _make_trio(num_segments, distributed_by, columns, rows)
+    databases = _make_pair(num_segments, distributed_by, columns, rows)
+    twin = databases[1]
+    model = {row[0]: row for row in rows}
 
-    def check_full_parity(label):
-        results = _run_everywhere(databases, "SELECT * FROM t ORDER BY id", label)
-        assert results is not None, label
-        _assert_same_rows(results, label)
+    def check_against_model(label):
+        expected = [model[key] for key in sorted(model)]
+        for db, tier in zip(databases, ("default", "twin")):
+            result = db.execute("SELECT * FROM t ORDER BY id")
+            assert result.columns == [name for name, _ in columns], label
+            _assert_rows(result.rows, expected, f"{label} ({tier})")
 
-    check_full_parity(f"seed={seed} initial load")
+    check_against_model(f"seed={seed} initial load")
 
     for round_index in range(ROUNDS):
         label = f"seed={seed} round={round_index}"
@@ -256,53 +281,64 @@ def test_storage_parity_fuzz(seed, monkeypatch):
                     db.load_rows("t", batch)
             else:
                 statement = f"INSERT INTO t VALUES {placeholders}"
-                results = _run_everywhere(databases, statement, f"{label} insert")
+                results = _run_both(databases, statement, f"{label} insert")
                 assert results is not None
-                counts = {r.rowcount for r in results}
-                assert len(counts) == 1, f"{label} insert rowcounts {counts}"
+                assert [r.rowcount for r in results] == [len(batch)] * 2, label
+            model.update((row[0], row) for row in batch)
         elif roll < 0.65:
             name, kind = rng.choice(picked)
             new_value = _random_value(rng, kind)
             if isinstance(new_value, float) and math.isnan(new_value):
                 new_value = None
             where = _random_where(rng, picked, next_id)
+            ids = _matching_ids(twin, where)
             statement = (
                 f"UPDATE t SET {name} = {_sql_literal(new_value)} WHERE {where}"
             )
-            results = _run_everywhere(databases, statement, f"{label} update")
+            results = _run_both(databases, statement, f"{label} update")
             if results is not None:
-                counts = {r.rowcount for r in results}
-                assert len(counts) == 1, f"{label} update rowcounts {counts}"
+                assert [r.rowcount for r in results] == [len(ids)] * 2, label
+                column = position_of[name]
+                for key in ids:
+                    row = list(model[key])
+                    row[column] = new_value
+                    model[key] = tuple(row)
         elif roll < 0.85:
             where = _random_where(rng, picked, next_id)
+            ids = _matching_ids(twin, where)
             statement = f"DELETE FROM t WHERE {where}"
-            results = _run_everywhere(databases, statement, f"{label} delete")
+            results = _run_both(databases, statement, f"{label} delete")
             if results is not None:
-                counts = {r.rowcount for r in results}
-                assert len(counts) == 1, f"{label} delete rowcounts {counts}"
+                assert [r.rowcount for r in results] == [len(ids)] * 2, label
+                for key in ids:
+                    del model[key]
         else:
             name, _ = rng.choice(picked)
             method = " USING hash" if rng.random() < 0.5 else ""
             statement = f"CREATE INDEX idx_{round_index} ON t{method} ({name})"
-            _run_everywhere(databases, statement, f"{label} create-index")
+            _run_both(databases, statement, f"{label} create-index")
 
-        check_full_parity(f"{label} after mutation")
+        check_against_model(f"{label} after mutation")
 
-        # A couple of random queries with stats accounting parity.
+        # A couple of random queries: parity across the databases, the
+        # model's rows and matched count, scan accounting.
         for query_index in range(2):
-            query = _random_query(rng, picked, next_id)
-            results = _run_everywhere(
-                databases, query, f"{label} q{query_index}: {query}"
-            )
+            where, query = _random_query(rng, picked, next_id)
+            query_label = f"{label} q{query_index}: {query}"
+            ids = _matching_ids(twin, where)
+            results = _run_both(databases, query, query_label)
             if results is None:
                 continue
-            _assert_same_rows(results, f"{label} q{query_index}: {query}")
-            accounting = {
-                (r.stats.rows_scanned, r.stats.rows_matched) for r in results
-            }
-            assert len(accounting) == 1, (
-                f"{label} q{query_index}: accounting diverged {accounting} ({query})"
+            default, reference = results
+            assert default.columns == reference.columns, query_label
+            _assert_rows(default.rows, reference.rows, query_label)
+            if query.startswith("SELECT * "):
+                _assert_rows(default.rows, [model[key] for key in ids], query_label)
+            assert default.stats.rows_matched == reference.stats.rows_matched == len(ids), (
+                query_label
             )
+            if _seq_scanned(default) and _seq_scanned(reference):
+                assert default.stats.rows_scanned == reference.stats.rows_scanned, query_label
 
 
 def test_fuzz_is_reproducible():

@@ -183,7 +183,7 @@ def test_strategies_and_decline_reasons():
     assert (stats.group_strategy, stats.group_decline_reason) == ("rows", "compiled_execution is off")
 
 
-@pytest.mark.parametrize("flags", [{"parallel_aggregation": False}, {"columnar_storage": False}, {}])
+@pytest.mark.parametrize("flags", [{"parallel_aggregation": False}, {}])
 def test_one_stream_per_group_aggregates_ride_the_kernel(flags):
     """DISTINCT, an unmergeable UDA and ``parallel_aggregation=False`` fold
     one stream per group — from the kernel's slices, not a row loop."""

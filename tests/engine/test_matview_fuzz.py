@@ -1,7 +1,6 @@
 """Randomized materialized-view parity fuzzing, mirroring the columnar fuzz.
 
-Every scenario builds a database (seed-varied segment count and storage
-configuration), defines a handful of random materialized views — grouped and
+Every scenario builds a database (seed-varied segment count), defines a handful of random materialized views — grouped and
 ungrouped, with random WHERE / HAVING clauses over the fold-exact aggregate
 pool (count / sum / avg / min / max) — and runs a seeded random DML script.
 After *every* statement, each view's finalized contents must be
@@ -125,10 +124,7 @@ def _random_dml(rng: random.Random) -> str:
 
 def _run_scenario(seed: int) -> int:
     rng = random.Random(f"matview-fuzz:{seed}")
-    db = Database(
-        num_segments=rng.choice((1, 2, 3)),
-        columnar_storage=rng.random() < 0.8,
-    )
+    db = Database(num_segments=rng.choice((1, 2, 3)))
     db.execute("CREATE TABLE t (k INTEGER, a INTEGER, b DOUBLE PRECISION, s TEXT)")
     seed_rows = ", ".join(_random_row(rng) for _ in range(rng.randrange(5, 25)))
     db.execute(f"INSERT INTO t VALUES {seed_rows}")

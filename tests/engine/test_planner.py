@@ -369,8 +369,8 @@ def test_parity_under_dml():
 
 
 class TestJoinCosting:
-    def _join_db(self, *, hash_joins=True):
-        db = Database(num_segments=4, hash_joins=hash_joins)
+    def _join_db(self, *, compiled=True):
+        db = Database(num_segments=4, compiled_execution=compiled)
         db.execute("CREATE TABLE small (k integer, name text)")
         db.load_rows("small", [(i, f"n{i}") for i in range(10)])
         db.execute("CREATE TABLE big (id integer, k integer)")
@@ -385,7 +385,7 @@ class TestJoinCosting:
         )
         result = db.execute(query)
         assert db.last_stats.join_strategy == "hash_reversed"
-        nested = self._join_db(hash_joins=False)
+        nested = self._join_db(compiled=False)
         assert result.rows == nested.execute(query).rows
 
     def test_reversed_left_join_parity(self):
@@ -394,7 +394,7 @@ class TestJoinCosting:
         query = "SELECT s.k, s.name, b.id FROM small s LEFT JOIN big b ON s.k = b.k"
         result = db.execute(query)
         assert db.last_stats.join_strategy == "hash_reversed"
-        nested = self._join_db(hash_joins=False)
+        nested = self._join_db(compiled=False)
         nested.execute("INSERT INTO small VALUES (999, 'unmatched')")
         assert result.rows == nested.execute(query).rows
 

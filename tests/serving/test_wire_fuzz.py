@@ -153,3 +153,39 @@ def test_wire_fuzz_never_internal_and_keeps_the_session(seed):
         assert server.server._lock.idle
         counted = server.server.stats.as_dict()
         assert counted["inline"] > 0
+
+
+def _nested_statements(depth: int):
+    """Statements nested ``depth`` levels deep, one per nesting construct."""
+    return [
+        "SELECT " + "(" * depth + "1" + ")" * depth,
+        "SELECT " + "(v + " * depth + "1" + ")" * depth + " FROM kv WHERE id = 3",
+        "SELECT " + "abs(" * depth + "v" + ")" * depth + " FROM kv",
+        "SELECT count(*) FROM kv WHERE " + "NOT " * depth + "id = 3",
+        "SELECT * FROM " + "(SELECT * FROM " * depth + "kv" + ") s" * depth,
+        "SELECT id FROM kv WHERE id IN (" * depth + "3" + ")" * depth,
+    ]
+
+
+@pytest.mark.parametrize("depth", [100, 1_000])
+def test_deeply_nested_statements_are_typed_syntax_errors(depth):
+    """Nesting past the parser's limit is a SYNTAX error, never a
+    ``RecursionError`` surfacing as INTERNAL, and the session survives."""
+    with ServerThread(_make_database()) as server:
+        with ServingClient(server.host, server.port) as client:
+            probe = client.prepare("SELECT label FROM fixed WHERE k = %(k)s")
+            sock = client._sock
+            for sql in _nested_statements(depth):
+                for op in ("query", "prepare"):
+                    reply = _exchange(sock, json.dumps({"op": op, "sql": sql}).encode())
+                    assert reply is not None, f"session lost on {op} {sql[:40]}..."
+                    assert not reply["ok"] and reply["error"]["code"] == "SYNTAX", reply
+                alive = {"op": "execute", "handle": probe, "params": {"k": 4}}
+                alive = _exchange(sock, json.dumps(alive).encode())
+                assert alive["ok"] and alive["rows"] == [["k4"]], alive
+            # A statement nested well inside the limit still answers.
+            shallow = _nested_statements(20)
+            assert client.query(shallow[1]).scalar() == 1.5 * 20 + 1  # v = 1.5 at id 3
+            assert len(client.query(shallow[4]).rows) == 100
+        assert server.server._lock.idle
+
