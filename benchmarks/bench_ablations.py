@@ -1,7 +1,7 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
 1. Merge-path parallelism (Section 3.1.1): segmented aggregation vs a single
-   transition stream.
+   transition stream (the same rows on one segment).
 2. Symmetric / copy-free transition kernel (Section 4.4): the v0.3 vs
    v0.2.1beta lesson, isolated on one segment count.
 3. Driver-function overhead (Section 3.1.2): how much of an iterative method's
@@ -38,9 +38,9 @@ from harness import DEFAULT_ROWS, best_linregr, build_regression_database, run_l
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("parallel", [True, False], ids=["segmented", "single_stream"])
-def test_ablation_merge_path(benchmark, parallel):
-    database = Database(num_segments=8, parallel_aggregation=parallel)
+@pytest.mark.parametrize("segments", [8, 1], ids=["segmented", "single_stream"])
+def test_ablation_merge_path(benchmark, segments):
+    database = Database(num_segments=segments)
     data = make_regression(DEFAULT_ROWS, 20, seed=101)
     load_regression_table(database, "data", data)
     linear_regression.install_linear_regression(database)
@@ -50,7 +50,7 @@ def test_ablation_merge_path(benchmark, parallel):
         return result.stats.simulated_parallel_seconds
 
     simulated = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["parallel_aggregation"] = parallel
+    benchmark.extra_info["segments"] = segments
     benchmark.extra_info["simulated_parallel_seconds"] = simulated
 
 
@@ -58,11 +58,10 @@ def test_merge_path_speedup_shape():
     # Enough rows that per-segment transition work dominates timer noise on
     # the compiled engine; compares the aggregate-pattern times (the merge
     # path is an aggregation-layer choice, per-query bookkeeping is shared).
-    database = build_regression_database(max(DEFAULT_ROWS, 24_000), 20, segments=8)
-    segmented = best_linregr(database, version="v0.3")
-    database.parallel_aggregation = False
-    single = best_linregr(database, version="v0.3")
-    database.parallel_aggregation = True
+    # The single stream is a one-segment database loaded with the same rows.
+    rows = max(DEFAULT_ROWS, 24_000)
+    segmented = best_linregr(build_regression_database(rows, 20, segments=8), version="v0.3")
+    single = best_linregr(build_regression_database(rows, 20, segments=1), version="v0.3")
     # Simulated elapsed aggregate time with 8 segments should be several times lower.
     assert segmented.aggregate_parallel_seconds < single.aggregate_parallel_seconds / 3
 

@@ -92,7 +92,6 @@ PARALLEL_ONLY_METRICS = frozenset(
         "query_unfiltered_serial_rows_per_sec",
         "query_unfiltered_parallel_rows_per_sec",
         "parallel_measured_speedup",
-        "groupby_parallel_measured_speedup",
     }
 )
 
@@ -110,66 +109,6 @@ def _baseline_metric(name: str) -> bool:
         and "_interpreted_" not in name
         and not name.startswith("index_")
     )
-
-
-def _make_groupby_database(rows: int, *, workers: int = 0, segments: int = 4) -> Database:
-    """A table shaped for the GROUP BY patterns: one low-cardinality key
-    (8 groups — the two-phase dispatch sweet spot) and one high-cardinality
-    key (rows/4 groups — the shape the planner keeps in-process)."""
-    database = Database(num_segments=segments, compiled_execution=True, parallel=workers)
-    database.create_table(
-        "gb",
-        [
-            ("id", "integer"),
-            ("grp_low", "integer"),
-            ("grp_high", "integer"),
-            ("a", "double precision"),
-        ],
-        distributed_by="id",
-    )
-    rng = np.random.default_rng(9)
-    values = rng.normal(size=rows)
-    high_cardinality = max(rows // 4, 1)
-    database.load_rows(
-        "gb",
-        [(i, i % 8, i % high_cardinality, float(v)) for i, v in enumerate(values)],
-    )
-    return database
-
-
-def _run_groupby_suite(
-    metrics: Dict[str, float], rows: int, *, workers: int, repeats: int
-) -> None:
-    """The ``--groupby`` pattern: grouped-aggregation throughput at both ends
-    of the cardinality spectrum, plus (with workers) the measured speedup of
-    the two-phase grouped dispatch on the low-cardinality shape."""
-    low_card = "SELECT grp_low, count(*), sum(a), avg(a) FROM gb GROUP BY grp_low"
-    high_card = "SELECT grp_high, count(*), sum(a) FROM gb GROUP BY grp_high"
-    # The serial baseline must share the parallel database's segment count:
-    # group output order and merge order (hence float results) depend on the
-    # segmentation, and the speedup ratio is only meaningful at equal counts.
-    segments = max(4, workers)
-    database = _make_groupby_database(rows, segments=segments)
-    metrics["groupby_low_card_rows_per_sec"], low_rows = _time_rows_per_sec(
-        rows, repeats=repeats, func=lambda: database.execute(low_card).rows
-    )
-    assert len(low_rows) == 8 and sum(row[1] for row in low_rows) == rows
-    metrics["groupby_high_card_rows_per_sec"], high_rows = _time_rows_per_sec(
-        rows, repeats=repeats, func=lambda: database.execute(high_card).rows
-    )
-    assert len(high_rows) == max(rows // 4, 1)
-    if workers > 0:
-        parallel_db = _make_groupby_database(rows, workers=workers, segments=segments)
-        parallel_db.ensure_parallel_workers()
-        parallel_rate, parallel_rows = _time_rows_per_sec(
-            rows, repeats=repeats, func=lambda: parallel_db.execute(low_card).rows
-        )
-        assert parallel_rows == low_rows
-        assert parallel_db.last_stats.executed_parallel, "grouped dispatch did not engage"
-        metrics["groupby_parallel_measured_speedup"] = (
-            parallel_rate / metrics["groupby_low_card_rows_per_sec"]
-        )
-        parallel_db.close()
 
 
 def _make_index_database(rows: int, *, indexes: bool = True) -> Database:
@@ -253,7 +192,6 @@ def run_micro_suite(
     *,
     workers: int = 0,
     repeats: int = 3,
-    groupby: bool = False,
     indexes: bool = False,
 ) -> Dict[str, float]:
     """All microbenchmark metrics, each in rows/second (higher is better).
@@ -263,9 +201,7 @@ def run_micro_suite(
     ``Database(parallel=workers)`` worker pool — and reports the measured
     (wall-clock, IPC included) speedup.  On a single-core machine expect a
     value below 1; the point of the metric is that it is measured, not
-    simulated.  ``groupby`` adds the grouped-aggregation pattern at low and
-    high group cardinality (and, with workers, the measured grouped-dispatch
-    speedup).  ``indexes`` adds the index-probe vs sequential-scan pattern.
+    simulated.  ``indexes`` adds the index-probe vs sequential-scan pattern.
     """
     database = _make_database(True, rows)
     where, executor, relation = _expression_fixture(database)
@@ -329,8 +265,6 @@ def run_micro_suite(
         )
         parallel_db.close()
 
-    if groupby:
-        _run_groupby_suite(metrics, rows, workers=workers, repeats=repeats)
     if indexes:
         # The acceptance shape is a 100k-row indexed table; smoke runs keep
         # their reduced row count.
@@ -392,14 +326,6 @@ def test_query_throughput_compiled(benchmark):
     benchmark.extra_info["rows_per_sec"] = MICRO_ROWS / benchmark.stats.stats.mean
 
 
-def test_query_throughput_groupby_low_cardinality(benchmark):
-    database = _make_groupby_database(MICRO_ROWS)
-    query = "SELECT grp_low, count(*), sum(a) FROM gb GROUP BY grp_low"
-    result = benchmark(lambda: database.execute(query).rows)
-    assert sum(row[1] for row in result) == MICRO_ROWS
-    benchmark.extra_info["rows_per_sec"] = MICRO_ROWS / benchmark.stats.stats.mean
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -422,13 +348,6 @@ def main(argv=None) -> int:
         metavar="N",
         help="also measure the real parallel tier with an N-process worker pool "
         "and report the measured (wall-clock) speedup vs the serial scan",
-    )
-    parser.add_argument(
-        "--groupby",
-        action="store_true",
-        help="also measure the grouped-aggregation pattern (low- and "
-        "high-cardinality GROUP BY; with --workers, the measured two-phase "
-        "grouped-dispatch speedup)",
     )
     parser.add_argument(
         "--indexes",
@@ -456,7 +375,6 @@ def main(argv=None) -> int:
         rows,
         workers=args.workers,
         repeats=1 if args.smoke else 3,
-        groupby=args.groupby,
         indexes=args.indexes,
     )
     write_report(output, metrics, rows=rows)

@@ -14,8 +14,7 @@ direct calls with no dict building and no ``isinstance`` dispatch.
 
 * **Planning gates** ask a yes/no question — can this conjunct be pushed
   below a join (``join.py``), probed through an index
-  (``planner.choose_access_path``), shipped to a worker
-  (``Executor._parallel_grouped``)?  ``None`` is their "no"; nothing is
+  (``planner.choose_access_path``)?  ``None`` is their "no"; nothing is
   evaluated on the strength of it.
 * **The evaluation seam**, ``Executor._compile``, is total: every site that
   evaluates an expression calls the ``fn(row)`` it returns.  Valid statements

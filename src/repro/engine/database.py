@@ -12,8 +12,8 @@ exposes the operations MADlib-style code needs:
   workload generators and tests.
 
 The segment count plays the role of the number of Greenplum query processes;
-``parallel_aggregation`` can be switched off to get the single-stream
-aggregation baseline used by the merge-path ablation benchmark.
+``num_segments=1`` is the single-stream aggregation baseline the merge-path
+ablation benchmark compares against.
 """
 
 from __future__ import annotations
@@ -54,10 +54,8 @@ class Database:
     num_segments:
         Number of shared-nothing segments new tables are distributed over.
         ``1`` behaves like single-node PostgreSQL; larger values emulate a
-        Greenplum cluster with that many query processes.
-    parallel_aggregation:
-        When true (default), aggregates over segmented tables run the
-        per-segment transition + merge path.
+        Greenplum cluster with that many query processes.  Aggregates over
+        segmented tables run the per-segment transition + merge path.
     compiled_execution:
         When true (default), every expression runs as a compiled
         positional-row closure and aggregates use batched transitions; when
@@ -72,11 +70,13 @@ class Database:
         (the third execution tier, :mod:`repro.engine.parallel`).  ``0``
         (default) keeps everything in-process with simulated-parallel
         timings; ``N >= 1`` creates a persistent
-        :class:`~repro.engine.parallel.SegmentWorkerPool` that runs
-        per-segment transition folds concurrently and merges the partial
-        states on the coordinator.  Aggregates the pool cannot ship
-        (non-picklable UDAs) transparently fall back to the in-process fold,
-        so results are identical with and without workers.
+        :class:`~repro.engine.parallel.SegmentWorkerPool` that runs an
+        *ungrouped* aggregate's per-segment transition folds concurrently
+        and merges the partial states on the coordinator.  Grouped
+        statements and joins run in-process with or without a pool.
+        Aggregates the pool cannot ship (non-picklable UDAs) transparently
+        fall back to the in-process fold, so results are identical with and
+        without workers.
     auto_analyze:
         When true, the planner refreshes a table's ``ANALYZE`` statistics at
         planning time once enough DML has accumulated since the last
@@ -101,6 +101,10 @@ class Database:
     parallel_task_retries:
         Bounded per-segment retry budget after worker-pool infra faults
         (``None`` = pool default).
+    parallel_min_dispatch_rows:
+        An ungrouped aggregate whose segment streams total fewer rows than
+        this folds in-process (``None`` = pool default, 512); ``0`` sends
+        every eligible one to the workers.
     faults:
         Optional :class:`~repro.engine.faults.FaultInjector` wired into the
         worker pool's dispatch sites for deterministic chaos testing.
@@ -114,7 +118,6 @@ class Database:
         self,
         num_segments: int = 1,
         *,
-        parallel_aggregation: bool = True,
         compiled_execution: bool = True,
         parallel: int = 0,
         auto_analyze: bool = False,
@@ -133,7 +136,6 @@ class Database:
         if plan_cache < 0:
             raise ValidationError("plan cache capacity must not be negative")
         self.num_segments = num_segments
-        self.parallel_aggregation = parallel_aggregation
         self.compiled_execution = compiled_execution
         self.auto_analyze = auto_analyze
         self.parallel = int(parallel)

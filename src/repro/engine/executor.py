@@ -28,9 +28,10 @@ and ``docs/architecture.md``):
   per-segment argument streams come straight from the table's packed columns
   as :class:`~repro.engine.vectorized.ColumnBatch` slices, and aggregates
   with a ``batch_transition`` consume each segment in a single batched call.
-* **Parallel** — with ``Database(parallel=N)``, mergeable aggregates
-  additionally fan their per-segment folds out to the persistent worker pool
-  (:mod:`repro.engine.parallel`); the coordinator merges the partial states.
+* **Parallel** — with ``Database(parallel=N)``, a mergeable *ungrouped*
+  aggregate additionally fans its per-segment folds out to the persistent
+  worker pool (:mod:`repro.engine.parallel`); the coordinator merges the
+  partial states.  Grouped statements and joins run in-process either way.
   Results are identical to the in-process tier by construction.
 
 The **reference evaluator** (tree-walking ``Expression.evaluate``) is one
@@ -61,13 +62,7 @@ from .compile import (
     compile_predicate_vector,
     keys_for_columns,
 )
-from .grouping import (
-    columnar_top_k,
-    merge_and_finalize,
-    output_position,
-    partitioned_grouped,
-    segment_runs,
-)
+from .grouping import columnar_top_k, output_position, partitioned_grouped
 from .join import (
     JoinEstimates,
     apply_prefilter,
@@ -77,7 +72,6 @@ from .join import (
     plan_hash_join,
     plan_key_join,
 )
-from .parallel import WorkerPoolError, guarded_function_registry, shippable_spec
 from .planner import (
     choose_access_path,
     collect_table_statistics,
@@ -149,13 +143,6 @@ class _Relation:
     #: the selected rows (late-materialized), and the aggregate fast path
     #: gathers argument columns at these positions instead of building rows.
     segment_selections: Optional[List[Any]] = None
-    #: Column index whose hashed value determines each row's segment, and the
-    #: stored python type of that column — the join planner's co-location
-    #: evidence.  Filtering preserves both (rows never move segments); a join
-    #: inherits the probe side's, since the joined row still lives on the
-    #: probe row's segment.
-    distribution_index: Optional[int] = None
-    distribution_type: Optional[type] = None
     #: Planner cardinality estimate for this relation (statistics-backed for
     #: base-table scans, the access path's estimate for index scans); None
     #: for derived relations, where the actual row count is already in hand.
@@ -165,12 +152,6 @@ class _Relation:
     def context_keys(self) -> List[List[str]]:
         """For each column, the row-dict keys it populates."""
         return keys_for_columns(self.columns)
-
-    def distribution(self) -> Optional[Tuple[int, type]]:
-        """``(column index, python type)`` co-location evidence, or ``None``."""
-        if self.distribution_index is None or self.num_segments <= 1:
-            return None
-        return (self.distribution_index, self.distribution_type)
 
 
 class _CompileEnv(NamedTuple):
@@ -377,20 +358,12 @@ class Executor:
             stats.scan_details.append(
                 ScanDetail(table.name, "seq", len(rows), estimated_rows=estimated)
             )
-        distribution_index = table._distribution_index
-        distribution_type = (
-            table.schema[distribution_index].sql_type.python_type
-            if distribution_index is not None
-            else None
-        )
         return _Relation(
             columns,
             rows,
             segment_ids,
             table.num_segments,
             source_table=table,
-            distribution_index=distribution_index,
-            distribution_type=distribution_type,
             estimated_rows=estimated,
         )
 
@@ -470,20 +443,15 @@ class Executor:
         num_segments = left.num_segments
         return _Relation(columns, rows, segment_ids, num_segments)
 
-    def _join_pool(self):
-        """The worker pool, when parallel join dispatch is permitted."""
-        if not self.database.parallel_aggregation:
-            return None
-        return getattr(self.database, "worker_pool", None)
-
-    def _joined_relation(self, left: _Relation, right: _Relation, outcome) -> _Relation:
+    def _joined_relation(
+        self, left: _Relation, right: _Relation, outcome, stats: Optional[ExecutionStats]
+    ) -> _Relation:
+        """The relation one hash-join step produced, recorded on ``stats``."""
+        if stats is not None:
+            estimated = self._join_estimates(left, right).output_rows
+            stats.record_join(outcome.strategy, len(outcome.rows), estimated_rows=estimated)
         return _Relation(
-            left.columns + right.columns,
-            outcome.rows,
-            outcome.segment_ids,
-            left.num_segments,
-            distribution_index=left.distribution_index,
-            distribution_type=left.distribution_type,
+            left.columns + right.columns, outcome.rows, outcome.segment_ids, left.num_segments
         )
 
     @staticmethod
@@ -526,7 +494,6 @@ class Executor:
         # Hash joins are the compiled tier's; the reference tier (and any
         # condition the planner declines) runs the nested loop.
         if self.database.compiled_execution:
-            pool = self._join_pool()
             plan = plan_hash_join(
                 left.columns,
                 right.columns,
@@ -534,23 +501,10 @@ class Executor:
                 join.condition,
                 self._function_registry(),
                 parameters,
-                left_distribution=left.distribution(),
-                right_distribution=right.distribution(),
-                check_shippable=pool is not None,
             )
             if plan is not None:
-                estimates = self._join_estimates(left, right)
-                outcome = execute_hash_join(
-                    plan, left, right, pool=pool, parameters=parameters
-                )
-                if stats is not None:
-                    stats.record_join(
-                        outcome.strategy,
-                        len(outcome.rows),
-                        outcome.parallel_wall_seconds,
-                        estimated_rows=estimates.output_rows,
-                    )
-                return self._joined_relation(left, right, outcome)
+                outcome = execute_hash_join(plan, left, right)
+                return self._joined_relation(left, right, outcome, stats)
 
         # Nested-loop fallback: non-equi conditions, volatile subtrees, names
         # the planner could not resolve.
@@ -652,17 +606,9 @@ class Executor:
                 rows, segment_ids = apply_prefilter(
                     predicate, relation.rows, relation.segment_ids
                 )
-                relation = _Relation(
-                    relation.columns,
-                    rows,
-                    segment_ids,
-                    relation.num_segments,
-                    distribution_index=relation.distribution_index,
-                    distribution_type=relation.distribution_type,
-                )
+                relation = _Relation(relation.columns, rows, segment_ids, relation.num_segments)
             filtered.append(relation)
 
-        pool = self._join_pool()
         current = filtered[0]
         for position in range(1, len(filtered)):
             right = filtered[position]
@@ -688,30 +634,12 @@ class Executor:
                     stats.record_join("cross", len(current.rows))
                 continue
             plan = plan_key_join(
-                current.columns,
-                right.columns,
-                step_left,
-                step_right,
-                functions,
-                parameters,
-                left_distribution=current.distribution(),
-                right_distribution=right.distribution(),
-                check_shippable=pool is not None,
+                current.columns, right.columns, step_left, step_right, functions, parameters
             )
             if plan is None:
                 return None
-            estimates = self._join_estimates(current, right)
-            outcome = execute_hash_join(
-                plan, current, right, pool=pool, parameters=parameters
-            )
-            if stats is not None:
-                stats.record_join(
-                    outcome.strategy,
-                    len(outcome.rows),
-                    outcome.parallel_wall_seconds,
-                    estimated_rows=estimates.output_rows,
-                )
-            current = self._joined_relation(current, right, outcome)
+            outcome = execute_hash_join(plan, current, right)
+            current = self._joined_relation(current, right, outcome, stats)
         return current, conjoin(residual)
 
     # ------------------------------------------------------------------ SELECT
@@ -839,20 +767,8 @@ class Executor:
                 index_condition=path.condition_sql,
             )
         )
-        distribution_index = table._distribution_index
-        distribution_type = (
-            table.schema[distribution_index].sql_type.python_type
-            if distribution_index is not None
-            else None
-        )
         relation = _Relation(
-            columns,
-            rows,
-            segment_ids,
-            table.num_segments,
-            distribution_index=distribution_index,
-            distribution_type=distribution_type,
-            estimated_rows=path.estimated_rows,
+            columns, rows, segment_ids, table.num_segments, estimated_rows=path.estimated_rows
         )
         return relation, path.residual
 
@@ -1148,15 +1064,12 @@ class Executor:
     ) -> List[Tuple[Any, ...]]:
         call_plans = self._call_plans(aggregate_calls, env)
 
-        # Phase-one grouping: the worker pool when the statement qualifies
-        # (two-phase per-segment hash tables), else the partitioned kernel;
-        # the row loop is the ``compiled_execution=False`` oracle.  All
-        # produce the same structure: (key, representative row or None,
-        # [aggregate value per call]) in global first-appearance order.
-        group_results = self._parallel_grouped(statement, call_plans, relation, parameters, stats, env)
-        if group_results is not None:
-            stats.group_strategy = "pool"
-        elif self.database.compiled_execution:
+        # Phase-one grouping: the partitioned kernel; the row loop is the
+        # ``compiled_execution=False`` oracle.  Both produce the same
+        # structure: (key, representative row or None, [aggregate value per
+        # call]) in global first-appearance order.
+        group_results = None
+        if self.database.compiled_execution:
             group_results = partitioned_grouped(self, statement, call_plans, relation, stats, env)
         else:
             stats.group_decline_reason = "compiled_execution is off"
@@ -1258,7 +1171,9 @@ class Executor:
                     streams[segment].append(
                         (1,) if call.star else tuple(fn(rows[index]) for fn in argument_fns)
                     )
-                value, timings = self._run_aggregate(call, definition, aggregator, streams)
+                value, timings = self._run_aggregate(
+                    call, aggregator, streams, grouped=bool(statement.group_by)
+                )
                 aggregate_values.append(value)
                 if single_group:
                     stats.aggregate_timings.append(timings)
@@ -1270,183 +1185,15 @@ class Executor:
             stats.aggregate_timings.extend(grouped_timings)
         return results
 
-    def _parallel_grouped(
-        self,
-        statement: SelectStatement,
-        call_plans: List[tuple],
-        relation: _Relation,
-        parameters,
-        stats: ExecutionStats,
-        env: _CompileEnv,
-    ) -> Optional[List[Tuple[Any, Optional[Tuple[Any, ...]], List[Any]]]]:
-        """Two-phase grouped aggregation on the worker pool, or None.
-
-        Phase one runs in the workers: one task per segment builds a partial
-        ``{group_key: [agg_states]}`` table over that segment's rows (see
-        :func:`repro.engine.parallel._grouped_segment_task`).  Phase two runs
-        here: partial tables are merged in segment order — which, because
-        dispatch requires segment-sorted row provenance, reproduces the
-        in-process first-appearance group order exactly — then each group's
-        states merge via the aggregate's merge function and finalize.
-
-        Returns ``None`` (→ in-process grouping) when the statement does not
-        qualify: no pool, keys or arguments outside the shippable compilable
-        subset (builtin scalar functions only), a DISTINCT or non-mergeable
-        or non-picklable aggregate, a fan-out below ``min_dispatch_rows``, or
-        estimated group cardinality so high that coordinator-side merging
-        would dominate (``docs/parallel-groupby.md`` documents the planner
-        rules).
-        """
-        database = self.database
-        pool = getattr(database, "worker_pool", None)
-        if (
-            pool is None
-            or not database.parallel_aggregation
-            or not database.compiled_execution
-            or not statement.group_by
-            or not call_plans
-            or relation.num_segments <= 1
-            or len(relation.rows) < pool.min_dispatch_rows
-        ):
-            return None
-        for call, definition, _aggregator, _argument_fns in call_plans:
-            if call.distinct or not definition.supports_parallel:
-                return None
-
-        # Keys and aggregate arguments must compile against the *guarded*
-        # registry (genuine builtins only) so workers reproduce them exactly.
-        layout, aggregate_names = env.layout, env.aggregate_names
-        guarded = guarded_function_registry(env.functions)
-        key_fns = [
-            compile_expression(expression, layout, guarded, parameters, aggregate_names)
-            for expression in statement.group_by
-        ]
-        if any(fn is None for fn in key_fns):
-            return None
-        use_batch = database.compiled_execution
-        agg_entries: List[tuple] = []
-        for call, definition, _aggregator, _argument_fns in call_plans:
-            spec = shippable_spec(definition, use_batch)
-            if spec is None:
-                return None
-            if call.star:
-                agg_entries.append((spec, ("star",)))
-                continue
-            arg_fns = [
-                compile_expression(argument, layout, guarded, parameters, aggregate_names)
-                for argument in call.args
-            ]
-            if any(fn is None for fn in arg_fns):
-                return None
-            agg_entries.append((spec, ("exprs", tuple(call.args))))
-
-        # Dispatch relies on segment-sorted row provenance to reconstruct the
-        # global first-appearance group order from per-segment tables; when
-        # sorted, each segment's rows are one contiguous run, so segments
-        # ship as plain slices.
-        runs = segment_runs(relation.segment_ids)
-        if runs is None:
-            return None
-        segment_slices = [(start, end) for _segment, start, end in runs]
-
-        rows = relation.rows
-        sample_size = min(len(rows), pool.GROUP_SAMPLE_ROWS)
-        if pool.min_dispatch_rows > 0:
-            sample_keys = {
-                tuple(hashable_key(fn(rows[index])) for fn in key_fns)
-                for index in range(sample_size)
-            }
-            if not pool.grouped_dispatch_worthwhile(len(sample_keys), sample_size):
-                return None
-
-        segment_rows = [rows[start:end] for start, end in segment_slices]
-        try:
-            outcome = pool.run_grouped(
-                tuple(statement.group_by),
-                env.keys_per_column,
-                agg_entries,
-                parameters,
-                segment_rows,
-                use_batch=use_batch,
-            )
-        except WorkerPoolError as exc:
-            # Infra faults only (dead/hung workers, IPC pickling, a
-            # defensive worker-side compile failure) — supervision already
-            # retried; regroup in-process and record why.  Query errors a
-            # transition raised inside a worker propagate out of this call
-            # byte-identical to the in-process tier: never retried, never
-            # masked as a silent fallback.
-            stats.note_parallel_fallback(exc.reason, exc.retries, exc.respawns)
-            outcome = None
-        if outcome is None:
-            return None
-        report = pool.consume_dispatch_report()
-        if report is not None:
-            # Succeeded, but only after supervision stepped in (retries
-            # and/or a pool respawn): attribute that work to the statement.
-            stats.note_parallel_fallback(
-                None, report["worker_retries"], report["pool_respawns"]
-            )
-        tables, agg_seconds, key_seconds, wall = outcome
-
-        # Merge the per-segment partial tables in segment order.
-        group_order: List[Any] = []
-        representative: Dict[Any, int] = {}
-        partial_states: Dict[Any, List[list]] = {}
-        for position, table in enumerate(tables):
-            slice_start = segment_slices[position][0]
-            for key, first_local, states in table:
-                known = partial_states.get(key)
-                if known is None:
-                    group_order.append(key)
-                    representative[key] = slice_start + first_local
-                    partial_states[key] = [[state] for state in states]
-                else:
-                    for state_list, state in zip(known, states):
-                        state_list.append(state)
-
-        results: List[Tuple[Any, Optional[Tuple[Any, ...]], List[Any]]] = [
-            (key, rows[representative[key]], []) for key in group_order
-        ]
-        wall_share = wall / max(len(call_plans), 1)
-        rows_per_segment = [len(batch) for batch in segment_rows]
-        for position, (_call, definition, aggregator, _argument_fns) in enumerate(call_plans):
-            timings = AggregateTimings(aggregate_name=definition.name)
-            timings.per_segment_seconds = [seconds[position] for seconds in agg_seconds]
-            if position == 0:
-                # The keying pass is shared by every aggregate of the
-                # statement; attribute it once, to the first call.
-                timings.per_segment_seconds = [
-                    fold + keying
-                    for fold, keying in zip(timings.per_segment_seconds, key_seconds)
-                ]
-            timings.rows_per_segment = list(rows_per_segment)
-            timings.measured_parallel_wall_seconds = wall_share
-            timings.num_workers = pool.num_workers
-            timings.num_groups = len(group_order)
-            timings.grouped_dispatch = True
-            finalized = merge_and_finalize(
-                aggregator, [partial_states[key][position] for key in group_order], timings
-            )
-            for (_key, _representative, values), value in zip(results, finalized):
-                values.append(value)
-            stats.aggregate_timings.append(timings)
-        return results
-
     def _run_aggregate(
-        self,
-        call: FunctionCall,
-        definition: AggregateDefinition,
-        aggregator: SegmentedAggregator,
-        streams: list,
+        self, call: FunctionCall, aggregator: SegmentedAggregator, streams: list, *, grouped: bool
     ) -> Tuple[Any, AggregateTimings]:
         """One group's value for one call, from its per-segment argument
         streams (column batches from the kernel, argument tuples from the
-        row loop)."""
-        force_serial = not definition.supports_parallel or not self.database.parallel_aggregation
-        # The worker pool (real parallel execution) engages only where the
-        # merge path would: mergeable aggregate, parallel aggregation on.
-        pool = None if force_serial else self.database.worker_pool
+        row loop).  Only an ungrouped statement's aggregate may fold on the
+        worker pool; :meth:`SegmentedAggregator.run` keeps an unmergeable one
+        in-process."""
+        pool = None if grouped else self.database.worker_pool
         if call.distinct:
             seen = set()
             unique: List[Tuple[Any, ...]] = []
@@ -1457,7 +1204,7 @@ class Executor:
                         seen.add(key)
                         unique.append(arguments)
             streams = [unique] + [[] for _ in streams[1:]]
-        return aggregator.run(streams, force_serial=force_serial, pool=pool)
+        return aggregator.run(streams, pool=pool)
 
     def _execute_union(self, statement: UnionStatement, parameters) -> ResultSet:
         results = [self._execute_select(select, parameters) for select in statement.selects]

@@ -476,16 +476,14 @@ def partitioned_grouped(executor, statement, call_plans, relation, stats, env):
     the executor's row loop takes them).  A call folds per segment and merges
     — **one** ``AggregateTimings`` for all its groups — unless each group must
     go through :meth:`SegmentedAggregator.run` on its own: an ungrouped
-    aggregate (the per-segment timings and pool fan-out of Figures 4/5), a
-    DISTINCT or unmergeable one (one stream per group), or any call while a
-    worker pool is attached (groups fan out one by one).
+    aggregate (the per-segment timings and pool fan-out of Figures 4/5), or a
+    DISTINCT or unmergeable one (one stream per group).
     """
-    database, ungrouped = executor.database, not statement.group_by
+    ungrouped = not statement.group_by
     deferred = {
         position
         for position, (call, definition, _aggregator, _fns) in enumerate(call_plans)
-        if ungrouped or call.distinct or database.worker_pool is not None
-        or not (definition.supports_parallel and database.parallel_aggregation)
+        if ungrouped or call.distinct or not definition.supports_parallel
     }
     grouped = grouped_states(
         executor, statement.group_by, call_plans, relation, stats, env, deferred
@@ -504,7 +502,9 @@ def partitioned_grouped(executor, statement, call_plans, relation, stats, env):
         if position in deferred:
             values = []
             for streams in zip(*grouped.states[position]):
-                value, one = executor._run_aggregate(call, definition, aggregator, list(streams))
+                value, one = executor._run_aggregate(
+                    call, aggregator, list(streams), grouped=not ungrouped
+                )
                 values.append(value)
                 if ungrouped:
                     timings = one

@@ -7,9 +7,9 @@ were materialized as full Cartesian products before WHERE filtering.  The
 paper's text-analytics methods are exactly the workloads that shape punishes
 — the Viterbi dynamic program issues a three-way ``FROM factors f, paths p,
 transitions t`` join per token position — so joins were the one operator
-still outside the compiled/batched/parallel execution model of PRs 1–3.
+still outside the compiled execution model.
 
-This module closes that gap with the classic three-step treatment:
+This module closes that gap with the classic two-step treatment:
 
 1. **Condition decomposition** (:func:`plan_hash_join`).  The ON condition —
    or, for an implicit multi-FROM query, the WHERE clause — is split into its
@@ -35,16 +35,8 @@ This module closes that gap with the classic three-step treatment:
    :mod:`repro.engine.compile`; no per-pair ``RowContext`` dicts exist
    anywhere on this path.
 
-3. **Segment-aware dispatch**.  When the probe side is large enough and the
-   expressions are shippable (compile against the guarded builtin registry,
-   see :mod:`repro.engine.parallel`), the build/probe runs on the
-   :class:`~repro.engine.parallel.SegmentWorkerPool`, one task per probe
-   segment.  Two shapes mirror Greenplum's motion avoidance: **co-located**
-   (both sides are hash-distributed on their join key with equal segment
-   counts — each worker joins matching segment pairs, no data crosses
-   segments) and **broadcast** (a small build side is replicated to every
-   worker).  Both produce exactly the in-process row order because probe
-   rows are shipped in segment order, which *is* relation row order.
+Every join runs in-process, with or without a worker pool: the pool folds
+ungrouped aggregates only (:mod:`repro.engine.parallel`).
 
 Anything the planner cannot prove safe — non-equi conditions, unresolvable
 or ambiguous names, volatile functions, uncompilable subtrees — returns
@@ -67,8 +59,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .compile import ColumnLayout, compile_expression, keys_for_columns
-from .expressions import BinaryOp, ColumnRef, Expression, FunctionCall, WindowCall
-from .parallel import WorkerPoolError, guarded_function_registry
+from .expressions import BinaryOp, Expression, FunctionCall, WindowCall
 from .types import hashable_key, is_null
 
 __all__ = [
@@ -77,7 +68,7 @@ __all__ = [
     "JoinOutcome",
     "split_conjuncts",
     "conjoin",
-    "has_unshippable_calls",
+    "has_volatile_calls",
     "classify_where_conjuncts",
     "plan_hash_join",
     "plan_key_join",
@@ -117,7 +108,7 @@ def conjoin(conjuncts: Sequence[Expression]) -> Optional[Expression]:
     return result
 
 
-def has_unshippable_calls(
+def has_volatile_calls(
     expression: Expression, functions: Dict[str, Callable[..., Any]]
 ) -> bool:
     """True when the expression calls a volatile or unknown scalar function.
@@ -176,7 +167,7 @@ def classify_where_conjuncts(
     WHERE must raise its error), or a volatile/unknown function whose
     evaluation count must not change.
     """
-    if has_unshippable_calls(where, functions):
+    if has_volatile_calls(where, functions):
         return None
     prefilters: Dict[int, List[Expression]] = {}
     edges: List[Tuple[int, Expression, int, Expression]] = []
@@ -224,11 +215,8 @@ def classify_where_conjuncts(
 
 @dataclass
 class HashJoinPlan:
-    """A fully compiled equi-join plan for one build/probe step.
-
-    All callables are positional-row closures; the AST fields exist so the
-    parallel tier can re-compile the same expressions inside workers.
-    """
+    """A fully compiled equi-join plan for one build/probe step; every
+    callable is a positional-row closure."""
 
     kind: str  # "inner" | "left"
     #: Compiled prefilters, applied to each side before the join.
@@ -237,24 +225,8 @@ class HashJoinPlan:
     #: Hash-key closures, one per equi-conjunct, per side (parallel lists).
     left_key_fns: List[Callable] = field(default_factory=list)
     right_key_fns: List[Callable] = field(default_factory=list)
-    #: The same key expressions as ASTs (for worker-side compilation).
-    left_key_exprs: List[Expression] = field(default_factory=list)
-    right_key_exprs: List[Expression] = field(default_factory=list)
     #: Residual predicate over the combined row, or None.
     residual_fn: Optional[Callable] = None
-    residual_expr: Optional[Expression] = None
-    #: Column-key layouts needed to rebuild the compile environment in a
-    #: worker: left side, right side, combined row.
-    left_keys_per_column: Tuple = ()
-    right_keys_per_column: Tuple = ()
-    combined_keys_per_column: Tuple = ()
-    #: True when keys + residual compile against the guarded builtin registry
-    #: (workers can reproduce them exactly); prefilters always run locally.
-    shippable: bool = False
-    #: When the key lists are exactly each side's distribution column (same
-    #: stored python type on both sides), equal keys are guaranteed to live on
-    #: equal segment indices — the co-located shape.
-    colocated: bool = False
 
 
 @dataclass
@@ -264,8 +236,6 @@ class JoinOutcome:
     rows: List[Tuple[Any, ...]]
     segment_ids: List[int]
     strategy: str
-    #: Coordinator-observed wall clock of the pool fan-out, when dispatched.
-    parallel_wall_seconds: Optional[float] = None
 
 
 @dataclass
@@ -304,21 +274,8 @@ def plan_hash_join(
     condition: Expression,
     functions: Dict[str, Callable[..., Any]],
     parameters: Optional[Dict[str, Any]],
-    *,
-    left_distribution: Optional[tuple] = None,
-    right_distribution: Optional[tuple] = None,
-    check_shippable: bool = True,
 ) -> Optional[HashJoinPlan]:
     """Plan one inner/left equi-join, or ``None`` (→ nested-loop fallback).
-
-    ``left_distribution`` / ``right_distribution`` are optional
-    ``(column_index, python_type)`` pairs describing how each side's rows are
-    hash-partitioned across segments; when the extracted join keys are exactly
-    those columns (and the stored types agree, so hash inputs agree), the
-    plan is marked co-located.  ``check_shippable=False`` skips the
-    worker-shippability analysis (a second compile pass against the guarded
-    registry) — pass it when no worker pool exists, where the flag would
-    never be read.
 
     The planner is all-or-nothing: every consumed conjunct (prefilters, key
     pairs) and the residual must compile, the condition may not contain
@@ -329,34 +286,22 @@ def plan_hash_join(
     """
     if kind not in ("inner", "left"):
         return None
-    if has_unshippable_calls(condition, functions):
+    if has_volatile_calls(condition, functions):
         return None
 
-    left_keys = keys_for_columns(left_columns)
-    right_keys = keys_for_columns(right_columns)
-    combined_keys = keys_for_columns(list(left_columns) + list(right_columns))
-    left_layout = ColumnLayout(left_keys)
-    right_layout = ColumnLayout(right_keys)
-    combined_layout = ColumnLayout(combined_keys)
+    left_layout = ColumnLayout(keys_for_columns(left_columns))
+    # Right-side rows are probed/built as bare right tuples, so right-side
+    # expressions compile against the right layout, not the combined one.
+    right_layout = ColumnLayout(keys_for_columns(right_columns))
+    combined_layout = ColumnLayout(keys_for_columns(list(left_columns) + list(right_columns)))
     left_width = len(left_columns)
 
-    def compile_left(expression: Expression) -> Optional[Callable]:
-        return compile_expression(expression, left_layout, functions, parameters)
-
-    def compile_right(expression: Expression) -> Optional[Callable]:
-        # Right-side rows are probed/built as bare right tuples, so indices
-        # must be relative to the right layout, not the combined one.
-        return compile_expression(expression, right_layout, functions, parameters)
-
-    plan = HashJoinPlan(
-        kind=kind,
-        left_keys_per_column=tuple(tuple(keys) for keys in left_keys),
-        right_keys_per_column=tuple(tuple(keys) for keys in right_keys),
-        combined_keys_per_column=tuple(tuple(keys) for keys in combined_keys),
-    )
+    plan = HashJoinPlan(kind=kind)
     left_prefilters: List[Expression] = []
     right_prefilters: List[Expression] = []
     residuals: List[Expression] = []
+    left_keys: List[Expression] = []
+    right_keys: List[Expression] = []
 
     for conjunct in split_conjuncts(condition):
         indices = combined_layout.column_indices(conjunct)
@@ -382,40 +327,34 @@ def plan_hash_join(
                         if first_side == "left"
                         else (conjunct.right, conjunct.left)
                     )
-                    plan.left_key_exprs.append(left_expr)
-                    plan.right_key_exprs.append(right_expr)
+                    left_keys.append(left_expr)
+                    right_keys.append(right_expr)
                     continue
         residuals.append(conjunct)
 
-    if not plan.left_key_exprs:
+    if not left_keys:
         return None  # no equi key: hash join buys nothing, nested loop it is
 
     if left_prefilters:
-        plan.left_prefilter = compile_left(conjoin(left_prefilters))
+        plan.left_prefilter = compile_expression(
+            conjoin(left_prefilters), left_layout, functions, parameters
+        )
         if plan.left_prefilter is None:
             return None
     if right_prefilters:
-        plan.right_prefilter = compile_right(conjoin(right_prefilters))
+        plan.right_prefilter = compile_expression(
+            conjoin(right_prefilters), right_layout, functions, parameters
+        )
         if plan.right_prefilter is None:
             return None
     if residuals:
-        plan.residual_expr = conjoin(residuals)
         plan.residual_fn = compile_expression(
-            plan.residual_expr, combined_layout, functions, parameters
+            conjoin(residuals), combined_layout, functions, parameters
         )
         if plan.residual_fn is None:
             return None
-
-    return _finalize_plan(
-        plan,
-        left_layout,
-        right_layout,
-        combined_layout,
-        functions,
-        parameters,
-        left_distribution,
-        right_distribution,
-        check_shippable,
+    return _compile_keys(
+        plan, left_keys, right_keys, left_layout, right_layout, functions, parameters
     )
 
 
@@ -426,125 +365,45 @@ def plan_key_join(
     right_key_exprs: Sequence[Expression],
     functions: Dict[str, Callable[..., Any]],
     parameters: Optional[Dict[str, Any]],
-    *,
-    left_distribution: Optional[tuple] = None,
-    right_distribution: Optional[tuple] = None,
-    check_shippable: bool = True,
 ) -> Optional[HashJoinPlan]:
     """Plan one inner join step from pre-extracted key pairs, or ``None``.
 
     Used by the implicit multi-FROM planner, which classifies the WHERE
     clause itself (prefilters are applied per source, residual conjuncts are
-    left for the post-join WHERE) and only needs the key compilation,
-    shippability and co-location analysis here.
+    left for the post-join WHERE) and only needs the key compilation here.
     """
-    left_keys = keys_for_columns(left_columns)
-    right_keys = keys_for_columns(right_columns)
-    combined_keys = keys_for_columns(list(left_columns) + list(right_columns))
-    plan = HashJoinPlan(
-        kind="inner",
-        left_keys_per_column=tuple(tuple(keys) for keys in left_keys),
-        right_keys_per_column=tuple(tuple(keys) for keys in right_keys),
-        combined_keys_per_column=tuple(tuple(keys) for keys in combined_keys),
-    )
-    plan.left_key_exprs = list(left_key_exprs)
-    plan.right_key_exprs = list(right_key_exprs)
-    return _finalize_plan(
-        plan,
-        ColumnLayout(left_keys),
-        ColumnLayout(right_keys),
-        ColumnLayout(combined_keys),
+    return _compile_keys(
+        HashJoinPlan(kind="inner"),
+        left_key_exprs,
+        right_key_exprs,
+        ColumnLayout(keys_for_columns(left_columns)),
+        ColumnLayout(keys_for_columns(right_columns)),
         functions,
         parameters,
-        left_distribution,
-        right_distribution,
-        check_shippable,
     )
 
 
-def _finalize_plan(
+def _compile_keys(
     plan: HashJoinPlan,
+    left_key_exprs: Sequence[Expression],
+    right_key_exprs: Sequence[Expression],
     left_layout: ColumnLayout,
     right_layout: ColumnLayout,
-    combined_layout: ColumnLayout,
     functions: Dict[str, Callable[..., Any]],
     parameters: Optional[Dict[str, Any]],
-    left_distribution: Optional[tuple],
-    right_distribution: Optional[tuple],
-    check_shippable: bool,
 ) -> Optional[HashJoinPlan]:
-    """Compile the key closures and derive shippability / co-location."""
+    """Compile the key closures into ``plan``; ``None`` if any declines."""
     plan.left_key_fns = [
         compile_expression(expr, left_layout, functions, parameters)
-        for expr in plan.left_key_exprs
+        for expr in left_key_exprs
     ]
     plan.right_key_fns = [
         compile_expression(expr, right_layout, functions, parameters)
-        for expr in plan.right_key_exprs
+        for expr in right_key_exprs
     ]
     if any(fn is None for fn in plan.left_key_fns + plan.right_key_fns):
         return None
-
-    # Shippability: workers rebuild the builtin registry locally, so the key
-    # and residual expressions may only cross the process boundary when they
-    # compile against the guarded subset (genuine builtins only).  Skipped
-    # when the caller has no pool — the flag would never be read.
-    if check_shippable:
-        guarded = guarded_function_registry(functions)
-        plan.shippable = all(
-            compile_expression(expr, layout, guarded, parameters) is not None
-            for expr, layout in (
-                [(e, left_layout) for e in plan.left_key_exprs]
-                + [(e, right_layout) for e in plan.right_key_exprs]
-                + (
-                    [(plan.residual_expr, combined_layout)]
-                    if plan.residual_expr is not None
-                    else []
-                )
-            )
-        )
-
-    plan.colocated = _keys_are_distribution_columns(
-        plan, left_layout, right_layout, left_distribution, right_distribution
-    )
     return plan
-
-
-def _keys_are_distribution_columns(
-    plan: HashJoinPlan,
-    left_layout: ColumnLayout,
-    right_layout: ColumnLayout,
-    left_distribution: Optional[tuple],
-    right_distribution: Optional[tuple],
-) -> bool:
-    """Whether some key pair is exactly (left dist column, right dist column).
-
-    Equal key values then hash to equal segment indices on both sides (the
-    tables share :func:`~repro.engine.table._distribution_hash`), provided the
-    stored python types agree — ``1`` and ``1.0`` compare equal but ``repr``
-    differently, so mixed integer/double distribution columns are excluded.
-    """
-    if left_distribution is None or right_distribution is None:
-        return False
-    left_index, left_type = left_distribution
-    right_index, right_type = right_distribution
-    if left_type is not right_type:
-        return False
-    for left_expr, right_expr in zip(plan.left_key_exprs, plan.right_key_exprs):
-        left_refs = left_layout.column_indices(left_expr)
-        right_refs = right_layout.column_indices(right_expr)
-        if (
-            left_refs == frozenset({left_index})
-            and right_refs == frozenset({right_index})
-            and _is_bare_column(left_expr)
-            and _is_bare_column(right_expr)
-        ):
-            return True
-    return False
-
-
-def _is_bare_column(expression: Expression) -> bool:
-    return isinstance(expression, ColumnRef)
 
 
 # ---------------------------------------------------------------------------
@@ -622,72 +481,20 @@ def probe_hash_table(
     return out_rows, out_segments
 
 
-def _segment_runs(segment_ids: Sequence[int], num_segments: int) -> Optional[List[Tuple[int, int]]]:
-    """``[(start, end)]`` slices, one per segment 0..n-1, when the ids are one
-    ascending run per segment (possibly empty); ``None`` otherwise.
-
-    Scanned relations satisfy this by construction and prefilters preserve
-    it; the pool relies on it to reconstruct global row order from
-    per-segment outputs.
-    """
-    runs: List[Tuple[int, int]] = []
-    cursor = 0
-    total = len(segment_ids)
-    for segment in range(num_segments):
-        start = cursor
-        while cursor < total and segment_ids[cursor] == segment:
-            cursor += 1
-        runs.append((start, cursor))
-    if cursor != total:
-        return None
-    return runs
-
-
-def execute_hash_join(
-    plan: HashJoinPlan,
-    left,
-    right,
-    *,
-    pool=None,
-    parameters: Optional[Dict[str, Any]] = None,
-) -> JoinOutcome:
+def execute_hash_join(plan: HashJoinPlan, left, right) -> JoinOutcome:
     """Run a planned hash join over two relations (duck-typed: ``rows``,
-    ``segment_ids``, ``num_segments``, ``columns`` attributes).
+    ``segment_ids``, ``columns`` attributes).
 
-    Prefilters always run on the coordinator.  The build/probe phase runs on
-    the worker ``pool`` when it is worthwhile (probe side at or above the
-    pool's dispatch floor, expressions shippable, and either a co-located
-    key pair or a build side cheap enough to broadcast under the cost
-    model); otherwise — and on any dispatch failure — it runs in-process
-    with identical results.  In-process, the build side is cost-driven:
-    when the exact post-prefilter counts say the left side is much smaller,
-    the hash table is built on the left and the right side probes
-    (:func:`_reversed_hash_join`), emitting the exact same rows in the
-    exact same order.
+    The build side is cost-driven: when the exact post-prefilter counts say
+    the left side is much smaller, the hash table is built on the left and
+    the right side probes (:func:`_reversed_hash_join`), emitting the exact
+    same rows in the exact same order.
     """
     probe_rows, probe_segments = apply_prefilter(
         plan.left_prefilter, left.rows, left.segment_ids
     )
-    build_rows, build_segments = apply_prefilter(
-        plan.right_prefilter, right.rows, right.segment_ids
-    )
+    build_rows, _ = apply_prefilter(plan.right_prefilter, right.rows, right.segment_ids)
     right_width = len(right.columns)
-
-    if pool is not None and len(probe_rows) >= max(pool.min_dispatch_rows, 1):
-        outcome = _try_parallel_join(
-            plan,
-            pool,
-            probe_rows,
-            probe_segments,
-            left.num_segments,
-            build_rows,
-            build_segments,
-            right.num_segments,
-            right_width,
-            parameters,
-        )
-        if outcome is not None:
-            return outcome
 
     # The cost inputs here are the *exact* post-prefilter cardinalities — at
     # execution time both sides are materialized, so actual counts strictly
@@ -780,87 +587,3 @@ def _reversed_hash_join(
             out_rows.extend(buffer)
             out_segments.extend([left_segments[left_index]] * len(buffer))
     return out_rows, out_segments
-
-
-def _broadcast_worthwhile(
-    estimated_probe: float, estimated_build: float, num_segments: int, max_build_rows: int
-) -> bool:
-    """Cost rule for replicating the build side to every worker.
-
-    Small build sides always qualify (the legacy fixed cap).  Beyond that,
-    broadcasting ships ``build × segments`` rows, so it pays off only when
-    that shipping cost stays under the probe work it parallelizes.
-    """
-    if estimated_build <= max_build_rows:
-        return True
-    return estimated_build * num_segments <= estimated_probe
-
-
-def _try_parallel_join(
-    plan: HashJoinPlan,
-    pool,
-    probe_rows,
-    probe_segments,
-    probe_num_segments: int,
-    build_rows,
-    build_segments,
-    build_num_segments: int,
-    right_width: int,
-    parameters,
-) -> Optional[JoinOutcome]:
-    """Dispatch the build/probe to the worker pool, or ``None`` to stay local."""
-    if not plan.shippable or probe_num_segments <= 1:
-        return None
-    probe_runs = _segment_runs(probe_segments, probe_num_segments)
-    if probe_runs is None:
-        return None
-
-    spec = (
-        plan.left_keys_per_column,
-        plan.right_keys_per_column,
-        plan.combined_keys_per_column,
-        tuple(plan.left_key_exprs),
-        tuple(plan.right_key_exprs),
-        plan.residual_expr,
-        plan.kind,
-        right_width,
-        parameters,
-    )
-    probe_chunks = [probe_rows[start:end] for start, end in probe_runs]
-
-    build_chunks: Optional[List[list]] = None
-    strategy = None
-    if plan.colocated and build_num_segments == probe_num_segments:
-        build_runs = _segment_runs(build_segments, build_num_segments)
-        if build_runs is not None:
-            build_chunks = [build_rows[start:end] for start, end in build_runs]
-            strategy = "hash_colocated"
-    if build_chunks is None:
-        # Exact post-prefilter counts, not planner estimates — see
-        # execute_hash_join.
-        if not _broadcast_worthwhile(
-            float(len(probe_rows)),
-            float(len(build_rows)),
-            probe_num_segments,
-            pool.BROADCAST_MAX_BUILD_ROWS,
-        ):
-            return None
-        strategy = "hash_broadcast"
-
-    try:
-        outcome = pool.run_join(spec, probe_chunks, build_chunks, build_rows)
-    except WorkerPoolError:
-        # Infra faults only (dead/hung workers, IPC pickling) — supervision
-        # already retried and counted the fallback on the pool's counters;
-        # rejoin in-process.  Query errors a shipped expression raised in a
-        # worker propagate unchanged, byte-identical to the in-process tier.
-        return None
-    if outcome is None:
-        return None
-    chunk_outputs, _seconds, wall = outcome
-    rows: List[Tuple[Any, ...]] = []
-    segments: List[int] = []
-    for segment, chunk in enumerate(chunk_outputs):
-        rows.extend(chunk)
-        segments.extend([segment] * len(chunk))
-    return JoinOutcome(rows, segments, strategy, parallel_wall_seconds=wall)

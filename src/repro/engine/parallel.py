@@ -39,24 +39,13 @@ NULL-free packed column exports its stored ``array('d')``/``array('q')`` buffer
 as-is (``TypedColumn.packed_wire``) — no per-value scan even to
 *build* the wire format — and workers restore exact values via ``tolist()``.
 
-Two dispatch shapes exist.  **Ungrouped** (`run_aggregate`): one task per
-segment per aggregate, each returning a single partial state.  **Grouped**
-(`run_grouped`, the two-phase GROUP BY path): one task per segment for the
-*whole statement* — the worker receives the segment's rows plus the group-key
-expressions (shipped as picklable AST nodes and compiled to positional-row
-closures inside the worker), builds a partial ``{group_key: [agg_states]}``
-hash table locally (batched kernels engage per group where available), and
-the coordinator merges the per-segment partial tables with each aggregate's
-merge function.  That is one IPC round trip per segment instead of one
-coordinator-side pass per group, which is what makes grouped aggregation
-scale the way the paper's Greenplum experiments assume.
-
-Group-key and aggregate-argument expressions can only be shipped when every
-scalar function they reference is a genuine built-in — workers rebuild the
-builtin function registry locally, so a user-defined (or shadowed) function
-would silently change meaning across the boundary.
-:func:`guarded_function_registry` enforces this with a code-object
-fingerprint; anything outside it keeps the statement on the coordinator.
+The pool runs exactly one task shape, :func:`_fold_segment_task`: one
+ungrouped aggregate's transition over one segment's argument stream
+(:meth:`SegmentWorkerPool.run_aggregate`).  Workers never compile SQL.
+Grouped statements and joins run the same in-process code whether or not a
+pool is attached: measured on a 2-core machine, shipping their rows and
+expressions to workers never clearly beat the in-process kernel
+(``docs/engine-execution.md``, "What the pool runs").
 
 The pool is **persistent**: it belongs to the :class:`~repro.engine.database.
 Database` (``Database(parallel=N)``), is started lazily on first use (or
@@ -104,20 +93,16 @@ import pickle
 import threading
 import time
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import EngineError, ReproError, ValidationError
 from .aggregates import AggregateDefinition, builtin_aggregates
-from .compile import ColumnLayout, compile_expression
 from .faults import PICKLE_ERROR, SLOW_WORKER, WORKER_CRASH, WORKER_HANG, FaultInjector
-from .functions import builtin_functions
-from .types import hashable_key
 
 __all__ = [
     "SegmentWorkerPool",
     "WorkerPoolError",
     "classify_failure",
-    "guarded_function_registry",
     "shippable_spec",
 ]
 
@@ -135,8 +120,7 @@ class WorkerPoolError(EngineError):
     """A fan-out failed for *infrastructure* reasons after bounded retries.
 
     Raised only for faults of the pool itself — dead or hung worker
-    processes, IPC pickling breakage, a worker-side compile of a shipped
-    expression failing defensively — never for errors the query's own code
+    processes, IPC pickling breakage — never for errors the query's own code
     raised (those propagate unchanged, byte-identical to the in-process
     tier).  Callers catch exactly this type, record ``reason`` on
     ``ExecutionStats.parallel_fallback_reason``, and fall back in-process.
@@ -216,6 +200,11 @@ _BUILTIN_FINGERPRINTS = {
     for definition in builtin_aggregates()
 }
 
+#: What ``pickle.dumps`` raises for a callable that cannot cross the process
+#: boundary: a lambda (``PicklingError``), a local closure (``AttributeError``),
+#: an object holding a lock or another unpicklable resource (``TypeError``).
+_UNPICKLABLE = (pickle.PicklingError, AttributeError, TypeError)
+
 #: Attribute used to memoize the spec decision on a definition object, so the
 #: picklability probe runs once per (definition, batch-tier) rather than once
 #: per query.
@@ -257,13 +246,13 @@ def _build_spec(definition: AggregateDefinition, use_batch: bool) -> Optional[tu
         return ("builtin", name)
     try:
         pickle.dumps((definition.transition, definition.initial_state))
-    except Exception:
+    except _UNPICKLABLE:
         return None
     batch = definition.batch_transition if use_batch else None
     if batch is not None:
         try:
             pickle.dumps(batch)
-        except Exception:
+        except _UNPICKLABLE:
             batch = None
     return (
         "funcs",
@@ -276,59 +265,6 @@ def _build_spec(definition: AggregateDefinition, use_batch: bool) -> Optional[tu
 
 
 # ---------------------------------------------------------------------------
-# Shippable scalar functions (for group keys and aggregate arguments)
-# ---------------------------------------------------------------------------
-
-
-#: Coordinator-side cache of one freshly built builtin scalar-function
-#: registry (immutable per process) — the fingerprint source for
-#: :func:`guarded_function_registry`, built once instead of per query.
-_FRESH_FUNCTION_REGISTRY: Optional[dict] = None
-
-
-def _fresh_function_registry() -> dict:
-    global _FRESH_FUNCTION_REGISTRY
-    if _FRESH_FUNCTION_REGISTRY is None:
-        _FRESH_FUNCTION_REGISTRY = {
-            definition.name.lower(): definition for definition in builtin_functions()
-        }
-    return _FRESH_FUNCTION_REGISTRY
-
-
-def guarded_function_registry(
-    catalog_functions: Dict[str, Callable[..., Any]]
-) -> Dict[str, Callable[..., Any]]:
-    """The subset of a catalog's scalar functions a worker can reproduce.
-
-    Workers compile shipped expressions against their own freshly built
-    ``builtin_functions()`` registry, so an expression may only be dispatched
-    when every function it references is *exactly* the built-in of that name:
-    same definition class, same strictness, same underlying code object (the
-    identity that survives re-running ``builtin_functions()``, lambdas
-    included).  User-defined functions — and user functions *shadowing* a
-    builtin name — are excluded, which makes compilation against the returned
-    registry fail for them and keeps the statement on the coordinator.
-    """
-    guarded: Dict[str, Callable[..., Any]] = {}
-    fresh = _fresh_function_registry()
-    for name, registered in catalog_functions.items():
-        reference = fresh.get(name)
-        if (
-            reference is None
-            or type(registered) is not type(reference)
-            or getattr(registered, "strict", None) != reference.strict
-        ):
-            continue
-        func = getattr(registered, "func", None)
-        code = getattr(func, "__code__", None)
-        if func is reference.func or (
-            code is not None and code is getattr(reference.func, "__code__", None)
-        ):
-            guarded[name] = registered
-    return guarded
-
-
-# ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
@@ -336,17 +272,10 @@ def guarded_function_registry(
 #: startup (each worker has its own copy — shared-nothing, like a segment).
 _WORKER_BUILTINS: Optional[dict] = None
 
-#: Per-worker registry of built-in scalar functions, used to compile shipped
-#: group-key / argument expressions (the coordinator guarantees, via
-#: :func:`guarded_function_registry`, that these behave identically to the
-#: functions its own compilation would have used).
-_WORKER_FUNCTIONS: Optional[dict] = None
-
 
 def _worker_initializer() -> None:
-    global _WORKER_BUILTINS, _WORKER_FUNCTIONS
+    global _WORKER_BUILTINS
     _WORKER_BUILTINS = {d.name.lower(): d for d in builtin_aggregates()}
-    _WORKER_FUNCTIONS = {d.name.lower(): d for d in builtin_functions()}
 
 
 def _apply_worker_fault(directive: Optional[tuple]) -> None:
@@ -402,127 +331,6 @@ def _fold_segment_task(task: tuple) -> Tuple[Any, float]:
     return state, time.perf_counter() - start
 
 
-def _compile_shipped(expression, layout, parameters):
-    """Compile a shipped AST in the worker; raise if it falls outside the
-    compilable subset.  The coordinator pre-validated shippability, so this
-    is defensive — it raises :class:`WorkerPoolError` (an *infra* fault, not
-    a query error) so the coordinator's classifier falls back in-process
-    instead of surfacing an error the in-process tier would never raise."""
-    global _WORKER_FUNCTIONS
-    if _WORKER_FUNCTIONS is None:  # defensive: initializer not run
-        _worker_initializer()
-    fn = compile_expression(expression, layout, _WORKER_FUNCTIONS, parameters)
-    if fn is None:
-        raise WorkerPoolError(
-            "shipped_compile", message="shipped expression did not compile in worker"
-        )
-    return fn
-
-
-def _grouped_segment_task(task: tuple) -> Tuple[list, List[float], float]:
-    """Phase one of two-phase GROUP BY for one segment, inside a worker.
-
-    Builds the partial hash table ``{group_key: [state per aggregate]}`` over
-    the segment's rows: group keys come from closures compiled locally from
-    the shipped ASTs, per-group argument streams feed ``_fold_stream`` (so
-    batched kernels engage for groups past the batch threshold, exactly as
-    in-process).  Returns ``(table, per_aggregate_seconds, key_seconds)``
-    where ``table`` preserves first-appearance order and carries each group's
-    first local row index so the coordinator can reconstruct global
-    first-appearance order and a representative row per group.
-    """
-    from .segments import SegmentedAggregator  # deferred: avoids import cycle
-
-    directive, keys_per_column, key_exprs, parameters, agg_entries, use_batch, rows = task
-    _apply_worker_fault(directive)
-    layout = ColumnLayout(keys_per_column)
-    key_fns = [_compile_shipped(expr, layout, parameters) for expr in key_exprs]
-
-    start = time.perf_counter()
-    groups: Dict[Any, List[int]] = {}
-    for index, row in enumerate(rows):
-        key = tuple(hashable_key(fn(row)) for fn in key_fns)
-        members = groups.get(key)
-        if members is None:
-            groups[key] = [index]
-        else:
-            members.append(index)
-    key_seconds = time.perf_counter() - start
-
-    states: Dict[Any, list] = {key: [] for key in groups}
-    agg_seconds: List[float] = []
-    for spec, arg_mode in agg_entries:
-        aggregator = SegmentedAggregator(_resolve_spec(spec), use_batch=use_batch)
-        if arg_mode[0] == "exprs":
-            arg_fns = [_compile_shipped(expr, layout, parameters) for expr in arg_mode[1]]
-        else:  # count(*): the synthetic constant argument
-            arg_fns = None
-        start = time.perf_counter()
-        for key, members in groups.items():
-            if arg_fns is None:
-                stream: List[Tuple[Any, ...]] = [(1,)] * len(members)
-            else:
-                stream = [tuple(fn(rows[i]) for fn in arg_fns) for i in members]
-            states[key].append(aggregator._fold_stream(stream))
-        agg_seconds.append(time.perf_counter() - start)
-
-    table = [(key, members[0], states[key]) for key, members in groups.items()]
-    return table, agg_seconds, key_seconds
-
-
-def _join_segment_task(task: tuple) -> Tuple[list, float]:
-    """Build/probe one probe segment of a hash join, inside a worker.
-
-    The task carries the join spec (side layouts, key/residual ASTs compiled
-    locally against the builtin registry — the coordinator pre-validated
-    shippability via the guarded registry) plus this segment's probe rows and
-    its build rows: the matching build segment for a co-located join, the
-    whole (small) build side for a broadcast join.  The emitted rows preserve
-    (probe order, build order), so concatenating per-segment outputs in
-    segment order reproduces the coordinator's in-process join exactly.
-    """
-    from .join import build_hash_table, probe_hash_table  # deferred: avoids cycle
-
-    directive = task[0]
-    task = task[1:]
-    _apply_worker_fault(directive)
-    (
-        left_keys_per_column,
-        right_keys_per_column,
-        combined_keys_per_column,
-        left_key_exprs,
-        right_key_exprs,
-        residual_expr,
-        kind,
-        right_width,
-        parameters,
-        probe_rows,
-        build_rows,
-    ) = task
-    left_layout = ColumnLayout(left_keys_per_column)
-    right_layout = ColumnLayout(right_keys_per_column)
-    combined_layout = ColumnLayout(combined_keys_per_column)
-    left_key_fns = [_compile_shipped(expr, left_layout, parameters) for expr in left_key_exprs]
-    right_key_fns = [_compile_shipped(expr, right_layout, parameters) for expr in right_key_exprs]
-    residual_fn = (
-        _compile_shipped(residual_expr, combined_layout, parameters)
-        if residual_expr is not None
-        else None
-    )
-    start = time.perf_counter()
-    buckets = build_hash_table(build_rows, right_key_fns)
-    rows, _segments = probe_hash_table(
-        probe_rows,
-        [0] * len(probe_rows),
-        buckets,
-        left_key_fns,
-        residual_fn,
-        kind,
-        right_width,
-    )
-    return rows, time.perf_counter() - start
-
-
 def _terminate_pool(pool: multiprocessing.pool.Pool) -> None:
     pool.terminate()
     pool.join()
@@ -548,11 +356,9 @@ class SegmentWorkerPool:
         elsewhere.
     min_dispatch_rows:
         Fan-outs whose streams total fewer rows than this fold in-process —
-        a pool round trip costs a fixed few hundred microseconds, which a
-        high-cardinality GROUP BY would otherwise pay once *per group*.
-        Set to ``0`` to force every eligible aggregate through the workers
-        and to disable the grouped-dispatch cardinality heuristic (the
-        parallel parity tests do).
+        a pool round trip costs a fixed few hundred microseconds, more than
+        folding a small table takes.  Set to ``0`` to force every eligible
+        aggregate through the workers (the parallel parity tests do).
     task_timeout:
         Per-task supervision deadline in seconds (scaled by queueing depth
         when a fan-out has more tasks than workers).  A task whose result
@@ -583,23 +389,6 @@ class SegmentWorkerPool:
 
     #: Default base backoff before a retry attempt (seconds, doubling).
     DEFAULT_RETRY_BACKOFF = 0.05
-
-    #: Grouped dispatch samples this many leading rows to estimate group
-    #: cardinality before shipping anything.
-    GROUP_SAMPLE_ROWS = 512
-
-    #: Estimated groups-per-row above which grouped dispatch stays in-process:
-    #: when nearly every row is its own group, the coordinator still merges
-    #: and finalizes O(groups) ≈ O(rows) states and the partial tables cost
-    #: about as much IPC as the rows themselves, so phase one's parallelism
-    #: cannot pay for the round trip.
-    MAX_GROUP_FRACTION = 0.5
-
-    #: Largest build side a broadcast hash join will replicate to every
-    #: worker; above this the IPC of shipping the build side num_workers
-    #: times outweighs the probe parallelism (co-located joins have no such
-    #: limit — each worker receives only its own build segment).
-    BROADCAST_MAX_BUILD_ROWS = 8192
 
     def __init__(
         self,
@@ -764,7 +553,6 @@ class SegmentWorkerPool:
 
     def _attempt(
         self,
-        fn: Callable[[tuple], Any],
         tasks: Sequence[tuple],
         pending: List[int],
         results: List[Any],
@@ -784,7 +572,10 @@ class SegmentWorkerPool:
         if fault is not None and fault.kind == PICKLE_ERROR:
             raise _InfraFailure(PICKLE_ERROR, False)
         handles = [
-            (index, pool.apply_async(fn, ((self._task_directive(),) + tasks[index],)))
+            (
+                index,
+                pool.apply_async(_fold_segment_task, ((self._task_directive(),) + tasks[index],)),
+            )
             for index in pending
         ]
         # Tasks queue when a fan-out is wider than the pool; give each wave
@@ -805,7 +596,7 @@ class SegmentWorkerPool:
                     raise  # the query's own error: byte-identical passthrough
                 raise _InfraFailure(reason, retryable) from exc
 
-    def _dispatch(self, fn: Callable[[tuple], Any], tasks: Sequence[tuple]) -> List[Any]:
+    def _dispatch(self, tasks: Sequence[tuple]) -> List[Any]:
         """Supervised fan-out: per-task results in task order.
 
         Retries unfinished tasks (respawning the pool first) up to
@@ -828,7 +619,7 @@ class SegmentWorkerPool:
                 retries += len(pending)
                 self._count("worker_retries", len(pending))
             try:
-                self._attempt(fn, tasks, pending, results, done)
+                self._attempt(tasks, pending, results, done)
                 self._set_report(retries, respawns)
                 return results
             except _InfraFailure as failure:
@@ -874,106 +665,11 @@ class SegmentWorkerPool:
         self.ensure_started()
         tasks = [(spec, stream, use_batch) for stream in segment_streams]
         start = time.perf_counter()
-        results = self._dispatch(_fold_segment_task, tasks)
+        results = self._dispatch(tasks)
         wall = time.perf_counter() - start
         states = [state for state, _ in results]
         seconds = [elapsed for _, elapsed in results]
         return states, seconds, wall
-
-    def grouped_dispatch_worthwhile(self, sample_groups: int, sample_rows: int) -> bool:
-        """The group-cardinality planner heuristic for grouped dispatch.
-
-        ``min_dispatch_rows == 0`` is the force-everything test mode and
-        bypasses the check.
-        """
-        if self.min_dispatch_rows == 0:
-            return True
-        if sample_rows == 0:
-            return False
-        return sample_groups <= self.MAX_GROUP_FRACTION * sample_rows
-
-    def run_grouped(
-        self,
-        key_exprs: Sequence[Any],
-        keys_per_column: Sequence[Sequence[str]],
-        agg_entries: Sequence[tuple],
-        parameters: Optional[dict],
-        segment_rows: Sequence[Sequence[tuple]],
-        *,
-        use_batch: bool = True,
-    ) -> Optional[Tuple[List[list], List[List[float]], List[float], float]]:
-        """Run phase one of a grouped statement in the pool, one task per segment.
-
-        ``agg_entries`` pairs each aggregate's shippable spec with its
-        argument mode (``("star",)`` or ``("exprs", asts)``); the caller (the
-        executor's grouped planner) has already validated shippability and
-        compiled the expressions against the guarded builtin registry.
-        Returns ``(partial_tables, per_segment_agg_seconds, key_seconds,
-        wall_seconds)`` — one partial table per segment, in segment order —
-        or ``None`` when the fan-out is too small, the payload does not
-        pickle, or the pool is closed; the caller then groups in-process.
-        """
-        if self._closed:
-            return None
-        if sum(len(rows) for rows in segment_rows) < self.min_dispatch_rows:
-            return None
-        header = (tuple(keys_per_column), tuple(key_exprs), parameters, tuple(agg_entries), use_batch)
-        try:
-            pickle.dumps(header)
-        except Exception:
-            return None
-        self.ensure_started()
-        tasks = [header + (rows,) for rows in segment_rows]
-        start = time.perf_counter()
-        results = self._dispatch(_grouped_segment_task, tasks)
-        wall = time.perf_counter() - start
-        tables = [table for table, _, _ in results]
-        agg_seconds = [seconds for _, seconds, _ in results]
-        key_seconds = [elapsed for _, _, elapsed in results]
-        return tables, agg_seconds, key_seconds, wall
-
-    def run_join(
-        self,
-        join_spec: tuple,
-        probe_segments: Sequence[Sequence[tuple]],
-        build_segments: Optional[Sequence[Sequence[tuple]]],
-        build_rows: Sequence[tuple],
-    ) -> Optional[Tuple[List[list], List[float], float]]:
-        """Run a hash join's build/probe phase in the pool, one task per segment.
-
-        ``join_spec`` is the shippable description produced by
-        :func:`repro.engine.join.execute_hash_join` (side layouts, key and
-        residual ASTs, join kind, parameters).  When ``build_segments`` is
-        given the join is co-located — task *i* pairs probe segment *i* with
-        build segment *i*; otherwise ``build_rows`` (the whole, small, build
-        side) is broadcast to every task.  Returns ``(per_segment_rows,
-        per_segment_seconds, wall_seconds)`` with per-segment outputs in
-        segment order, or ``None`` when the payload does not pickle or the
-        pool is closed — the caller then joins in-process.
-        """
-        if self._closed:
-            return None
-        if sum(len(rows) for rows in probe_segments) < self.min_dispatch_rows:
-            return None
-        try:
-            pickle.dumps(join_spec)
-        except Exception:
-            return None
-        self.ensure_started()
-        if build_segments is not None:
-            tasks = [
-                join_spec + (probe, build)
-                for probe, build in zip(probe_segments, build_segments)
-            ]
-        else:
-            build_payload = list(build_rows)
-            tasks = [join_spec + (probe, build_payload) for probe in probe_segments]
-        start = time.perf_counter()
-        results = self._dispatch(_join_segment_task, tasks)
-        wall = time.perf_counter() - start
-        rows = [segment_rows for segment_rows, _ in results]
-        seconds = [elapsed for _, elapsed in results]
-        return rows, seconds, wall
 
     def __enter__(self) -> "SegmentWorkerPool":
         self.ensure_started()

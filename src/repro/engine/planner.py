@@ -67,7 +67,7 @@ from .expressions import (
     WindowCall,
 )
 from .index import BaseIndex, SortedIndex, _comparison_kind
-from .join import conjoin, has_unshippable_calls, split_conjuncts
+from .join import conjoin, has_volatile_calls, split_conjuncts
 from .types import is_null
 
 __all__ = [
@@ -403,7 +403,7 @@ def constant_value(
     Nothing that reads a column or calls a volatile or unknown function is a
     constant.  Index probes need a scalar; an aggregate argument
     (``scalar_only=False``) may be any value, e.g. a bound array parameter."""
-    if layout.column_indices(expression) != frozenset() or has_unshippable_calls(
+    if layout.column_indices(expression) != frozenset() or has_volatile_calls(
         expression, functions
     ):
         return False, None
@@ -445,7 +445,7 @@ def choose_access_path(
     indexes = [index for index in getattr(table, "indexes", []) if index.usable]
     if not indexes or where is None:
         return None
-    if has_unshippable_calls(where, functions):
+    if has_volatile_calls(where, functions):
         return None
     columns = [(alias, name) for name in table.schema.names]
     layout = ColumnLayout(keys_for_columns(columns))
@@ -702,8 +702,6 @@ def expression_sql(expression: Optional[Expression]) -> str:
 _JOIN_STRATEGY_LABELS = {
     "hash": "Hash Join",
     "hash_reversed": "Hash Join (build left)",
-    "hash_broadcast": "Hash Join (broadcast)",
-    "hash_colocated": "Hash Join (co-located)",
     "nested_loop": "Nested Loop",
     "cross": "Nested Loop (cross)",
 }
@@ -839,7 +837,6 @@ class _ExplainBuilder:
                     join.condition,
                     self.functions,
                     self.parameters,
-                    check_shippable=False,
                 )
                 if plan is not None:
                     label = "Hash Join"

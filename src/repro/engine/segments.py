@@ -85,12 +85,6 @@ class AggregateTimings:
     #: ``simulated_parallel_seconds`` / ``measured_parallel_seconds`` stay
     #: comparable between grouped and ungrouped statements.
     num_groups: int = 0
-    #: True when the statement's phase one ran as the *two-phase grouped
-    #: dispatch* (one worker task per segment building a partial group table).
-    #: Distinct from per-group pool fan-outs inside the in-process grouped
-    #: fallback, which also set ``executed_parallel`` but pay one round trip
-    #: per group.
-    grouped_dispatch: bool = False
     #: Why the worker-pool fan-out for this aggregate fell back in-process
     #: (``worker_lost``, ``pickle_error``, ...); ``None`` when it ran in the
     #: pool or was never dispatched.  Set only for *infra* faults — query
@@ -122,8 +116,8 @@ class AggregateTimings:
         work across all groups), merge/final phases add, and ``num_groups``
         counts the contributions — so ``simulated_parallel_seconds`` of the
         accumulated object projects the two-phase grouped execution (max of
-        per-segment totals plus all merges/finals), matching what the grouped
-        worker-pool dispatch measures.
+        per-segment totals plus all merges/finals).  Groups never fold on the
+        worker pool, so there is no measured wall clock to add.
         """
         if len(other.per_segment_seconds) > len(self.per_segment_seconds):
             grow = len(other.per_segment_seconds) - len(self.per_segment_seconds)
@@ -135,21 +129,10 @@ class AggregateTimings:
             self.rows_per_segment[i] += rows
         self.merge_seconds += other.merge_seconds
         self.final_seconds += other.final_seconds
-        if other.measured_parallel_wall_seconds is not None:
-            # A group's fan-out really ran on the pool (per-group dispatch);
-            # group fan-outs execute one after another, so walls add.
-            self.measured_parallel_wall_seconds = (
-                self.measured_parallel_wall_seconds or 0.0
-            ) + other.measured_parallel_wall_seconds
-            self.num_workers = max(self.num_workers, other.num_workers)
         self.num_groups += 1
-        if other.fallback_reason is not None and self.fallback_reason is None:
-            self.fallback_reason = other.fallback_reason
         self.batch_fallback_reason = self.batch_fallback_reason or other.batch_fallback_reason
         if self.fold_tier != "batch":  # any group on the batch tier makes the call "batch"
             self.fold_tier, self.fold_decline_reason = other.fold_tier, other.fold_decline_reason
-        self.worker_retries += other.worker_retries
-        self.pool_respawns += other.pool_respawns
 
     @property
     def executed_parallel(self) -> bool:
@@ -269,16 +252,12 @@ class ExecutionStats:
     #: Per-join-step records in execution order.
     join_steps: List[JoinStep] = field(default_factory=list)
     #: Comma-joined strategy labels, one per executed join step, in execution
-    #: order: ``hash`` (in-process build/probe), ``hash_colocated`` /
-    #: ``hash_broadcast`` (worker-pool dispatch), ``nested_loop`` (non-equi
-    #: or uncompilable condition), ``cross`` (Cartesian step).  ``None`` when
-    #: the statement joined nothing.
+    #: order: ``hash`` (build right, probe left), ``hash_reversed`` (build
+    #: left), ``nested_loop`` (non-equi or uncompilable condition), ``cross``
+    #: (Cartesian step).  ``None`` when the statement joined nothing.
     join_strategy: Optional[str] = None
     #: Total rows emitted by all join steps (intermediate steps included).
     join_rows_emitted: int = 0
-    #: Coordinator-observed wall clock of worker-pool join fan-outs, summed
-    #: over dispatched join steps; ``None`` when no join ran on the pool.
-    join_parallel_wall_seconds: Optional[float] = None
     aggregate_timings: List[AggregateTimings] = field(default_factory=list)
     planning_seconds: float = 0.0
     total_seconds: float = 0.0
@@ -292,8 +271,8 @@ class ExecutionStats:
     bitmap_selectivity: Optional[float] = None
     #: Why a worker-pool fan-out of this statement fell back in-process
     #: (first infra fault reason: ``worker_lost``, ``pickle_error``,
-    #: ``ipc_broken``, ``shipped_compile``, ...); ``None`` when nothing fell
-    #: back.  Query errors never set this — they propagate.
+    #: ``ipc_broken``, ...); ``None`` when nothing fell back.  Query errors
+    #: never set this — they propagate.
     parallel_fallback_reason: Optional[str] = None
     #: Supervision work the statement's fan-outs paid for: per-segment task
     #: re-submissions after infra faults, and full worker-pool respawns.
@@ -301,9 +280,9 @@ class ExecutionStats:
     pool_respawns: int = 0
     #: Which phase one a GROUP BY ran — ``columnar`` (group ids from packed /
     #: dictionary key columns), ``partitioned`` (ids from key values computed
-    #: per column), ``rows`` (the row loop) or ``pool`` (two-phase dispatch) —
-    #: and which ORDER BY ran: ``columnar-topk``, ``heap`` or ``sort``.  Each
-    #: ``*_decline_reason`` names the first guard that refused the faster one.
+    #: per column) or ``rows`` (the row loop) — and which ORDER BY ran:
+    #: ``columnar-topk``, ``heap`` or ``sort``.  Each ``*_decline_reason``
+    #: names the first guard that refused the faster one.
     group_strategy: Optional[str] = None
     group_decline_reason: Optional[str] = None
     order_strategy: Optional[str] = None
@@ -326,11 +305,7 @@ class ExecutionStats:
         self.pool_respawns += respawns
 
     def record_join(
-        self,
-        strategy: str,
-        rows_emitted: int,
-        parallel_wall_seconds: Optional[float] = None,
-        estimated_rows: Optional[float] = None,
+        self, strategy: str, rows_emitted: int, estimated_rows: Optional[float] = None
     ) -> None:
         """Record one executed join step (strategy label + emitted rows)."""
         self.join_strategy = (
@@ -338,10 +313,6 @@ class ExecutionStats:
         )
         self.join_rows_emitted += rows_emitted
         self.join_steps.append(JoinStep(strategy, rows_emitted, estimated_rows))
-        if parallel_wall_seconds is not None:
-            self.join_parallel_wall_seconds = (
-                self.join_parallel_wall_seconds or 0.0
-            ) + parallel_wall_seconds
 
     @property
     def simulated_parallel_seconds(self) -> float:
@@ -469,7 +440,7 @@ class SegmentedAggregator:
     def _concatenate(
         segment_streams: Sequence[Union[ColumnBatch, List[Sequence[Any]]]]
     ) -> Union[ColumnBatch, List[Sequence[Any]]]:
-        """Fuse all segment streams into one (the force-serial baseline)."""
+        """Fuse all segment streams into one, in segment order."""
         streams = [stream for stream in segment_streams if len(stream)]
         if streams and all(isinstance(stream, ColumnBatch) for stream in streams):
             width = len(streams[0].columns)
@@ -494,16 +465,15 @@ class SegmentedAggregator:
         self,
         segment_streams: Sequence[Union[ColumnBatch, List[Sequence[Any]]]],
         *,
-        force_serial: bool = False,
         pool=None,
     ) -> tuple:
         """Execute and return ``(value, AggregateTimings)``.
 
         Each stream is one segment's argument rows — either a list of
         argument tuples or a :class:`~repro.engine.vectorized.ColumnBatch`
-        sliced straight from a table's columnar view.  ``force_serial``
-        disables the merge path (all rows folded by one transition stream)
-        which is the baseline for the merge-path ablation benchmark.
+        sliced straight from a table's columnar view.  One stream, or an
+        aggregate with no merge function, folds as a single transition
+        stream (the segments fused in order).
 
         ``pool`` is an optional :class:`~repro.engine.parallel.
         SegmentWorkerPool`; when given (and the aggregate is mergeable and
@@ -514,7 +484,7 @@ class SegmentedAggregator:
         never changes which queries succeed or what they return.
         """
         timings = AggregateTimings(aggregate_name=self.definition.name)
-        if force_serial or not self.definition.supports_parallel or len(segment_streams) <= 1:
+        if not self.definition.supports_parallel or len(segment_streams) <= 1:
             combined = self._concatenate(segment_streams)
             start = time.perf_counter()
             state = self._fold_stream(combined)

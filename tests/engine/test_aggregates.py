@@ -91,10 +91,10 @@ class TestSegmentedAggregator:
         assert timings.serial_seconds >= timings.simulated_parallel_seconds
         assert timings.speedup >= 1.0
 
-    def test_force_serial_single_stream(self):
-        definition = get_builtin("sum")
+    def test_unmergeable_aggregate_folds_one_fused_stream(self):
+        definition = AggregateDefinition("sum_no_merge", lambda state, x: state + x, initial_state=0.0)
         segments = [[(1.0,)] * 10, [(2.0,)] * 10]
-        value, timings = SegmentedAggregator(definition).run(segments, force_serial=True)
+        value, timings = SegmentedAggregator(definition).run(segments)
         assert value == 30.0
         assert timings.num_segments == 1
         assert timings.merge_seconds == 0.0

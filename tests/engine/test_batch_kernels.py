@@ -14,6 +14,7 @@ sums the kernels accumulate in another order.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -350,18 +351,22 @@ def test_selective_aggregate_after_dml_leaves_the_view_unbuilt():
 
 
 def test_serial_merge_path_keeps_constants_and_the_batch_tier():
-    """``parallel_aggregation=False`` fuses the segment streams into one: a
-    plan-time constant must stay a ``ConstantColumn`` through the fusion, or
-    the merge-path ablation compares a batch fold against a row fold."""
+    """An aggregate with no merge function fuses the segment streams into
+    one: a plan-time constant must stay a ``ConstantColumn`` through the
+    fusion, or the fused fold falls from the batch kernel to the row fold."""
     points, _, _ = make_blobs(120, 3, 3, seed=23)
     data = make_logistic(120, 3, seed=9)
     pair = []
-    for parallel in (True, False):
-        database = Database(num_segments=4, parallel_aggregation=parallel)
+    for mergeable in (True, False):
+        database = Database(num_segments=4)
         load_points_table(database, "pts", points)
         load_logistic_table(database, "logi", data)
         kmeans.install_kmeans(database)
         logistic_regression.install_logistic_regression(database)
+        if not mergeable:
+            catalog = database.catalog
+            for name in ("kmeans_step", "kmeans_reassigned", "logregr_irls_step", "count"):
+                catalog.register_aggregate(dataclasses.replace(catalog.get_aggregate(name), merge=None))
         pair.append(database)
     statements = [
         (STEP_SQL, CENTROIDS, False),

@@ -101,12 +101,15 @@ class TestExecutionStats:
         assert sum(timings[0].rows_per_segment) == 600
         assert result.stats.simulated_parallel_seconds <= result.stats.total_seconds + 1e-6
 
-    def test_parallel_aggregation_can_be_disabled(self):
-        db = Database(num_segments=6, parallel_aggregation=False)
+    def test_single_segment_database_folds_one_stream(self):
+        db = Database(num_segments=1)
         db.create_table("n", [("v", "double precision")])
         db.load_rows("n", [(float(i),) for i in range(60)])
         result = db.execute("SELECT sum(v) FROM n")
-        assert result.stats.aggregate_timings[0].num_segments == 1
+        assert result.rows[0][0] == float(sum(range(60)))
+        timings = result.stats.aggregate_timings[0]
+        assert timings.num_segments == 1
+        assert timings.merge_seconds == 0.0
 
     def test_last_stats_updated(self, numbers_db):
         numbers_db.execute("SELECT count(*) FROM t")

@@ -183,14 +183,14 @@ def test_strategies_and_decline_reasons():
     assert (stats.group_strategy, stats.group_decline_reason) == ("rows", "compiled_execution is off")
 
 
-@pytest.mark.parametrize("flags", [{"parallel_aggregation": False}, {}])
-def test_one_stream_per_group_aggregates_ride_the_kernel(flags):
-    """DISTINCT, an unmergeable UDA and ``parallel_aggregation=False`` fold
-    one stream per group — from the kernel's slices, not a row loop."""
+@pytest.mark.parametrize("segments", [1, 3])
+def test_one_stream_per_group_aggregates_ride_the_kernel(segments):
+    """DISTINCT and an unmergeable UDA fold one stream per group — from the
+    kernel's slices, not a row loop — on one segment and on several."""
     rows = _rows(random.Random(3), 120, nan_keys=False, overflow=False)
     pair = []
     for compiled in (True, False):
-        db = Database(num_segments=3, compiled_execution=compiled, **flags)
+        db = Database(num_segments=segments, compiled_execution=compiled)
         db.create_aggregate("first_seen", transition=lambda state, v: v if state is None else state)
         db.create_table("t", COLUMNS)
         db.load_rows("t", rows)

@@ -10,9 +10,9 @@ identical contents run the corpus:
   can prove them safe, the nested loop elsewhere,
 * ``interpreted`` — ``compiled_execution=False``, the reference tier: every
   join runs the nested loop (the baseline),
-* ``parallel`` — hash joins with a forced worker pool
-  (``min_dispatch_rows = 0``), so build/probe really crosses the process
-  boundary for the co-located and broadcast shapes.
+* ``parallel`` — the same with a forced worker pool
+  (``min_dispatch_rows = 0``) attached: joins run in-process either way (the
+  pool folds ungrouped aggregates only), so attaching it changes nothing.
 
 The baseline is itself checked against SQLite loaded with the same rows —
 an oracle that shares no code with the engine.
@@ -274,21 +274,6 @@ class TestStrategySelection:
             "ON e.dept_id = d.dept_id AND random() >= 0.0"
         )
         assert db.last_stats.join_strategy == "nested_loop"
-
-    def test_colocated_dispatch_on_distribution_keys(self, tiers):
-        db = tiers["parallel"]
-        db.execute("SELECT count(*) FROM emp e JOIN dept d ON e.dept_id = d.dept_id")
-        # emp is distributed by id, dept by dept_id: the key matches only the
-        # build side, so this must be a broadcast, not a co-located join.
-        assert db.last_stats.join_strategy == "hash_broadcast"
-        db.execute("SELECT count(*) FROM emp a JOIN emp b ON a.id = b.id")
-        assert db.last_stats.join_strategy == "hash_colocated"
-        assert db.last_stats.join_parallel_wall_seconds > 0.0
-
-    def test_serial_pool_free_database_never_reports_parallel_join(self, tiers):
-        db = tiers["hash"]
-        db.execute("SELECT count(*) FROM emp e JOIN dept d ON e.dept_id = d.dept_id")
-        assert db.last_stats.join_parallel_wall_seconds is None
 
 
 class TestScanAccounting:

@@ -10,12 +10,15 @@ test tables actually cross the process boundary.
 
 from __future__ import annotations
 
+import operator
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
 from repro import Database
+from repro.engine.aggregates import AggregateDefinition
 from repro.engine.parallel import SegmentWorkerPool, shippable_spec
 from repro.engine.vectorized import ColumnBatch, ConstantColumn
 from repro.errors import ValidationError
@@ -222,3 +225,253 @@ def test_column_batch_pickles_compactly_and_exactly():
     restored = pickle.loads(payload)
     assert restored.prefiltered and len(restored) == 10_000
     assert list(restored.columns[0][:3]) == [1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# Method-library kernels on the pool: byte-identical to the in-process fold.
+# ---------------------------------------------------------------------------
+
+
+def _uda_pair():
+    serial = Database(num_segments=4)
+    parallel = _force_pool(Database(num_segments=4, parallel=2))
+    for db in (serial, parallel):
+        db.create_table("v", [("x", "double precision")], distributed_by="x")
+        db.load_rows("v", [(float(i % 37) * 1.7,) for i in range(300)])
+    return serial, parallel
+
+
+def test_quantile_reservoir_runs_on_pool_with_identical_result():
+    from repro.methods.quantiles import install_quantile_aggregate
+
+    serial, parallel = _uda_pair()
+    for db in (serial, parallel):
+        install_quantile_aggregate(db, reservoir_size=64)
+    expected = serial.query_scalar("SELECT quantile_reservoir(x) FROM v")
+    result = parallel.query_scalar("SELECT quantile_reservoir(x) FROM v")
+    assert parallel.last_stats.aggregate_timings[0].executed_parallel
+    assert result == expected  # byte-identical reservoirs, not just close
+    parallel.close()
+
+
+def test_fm_sketch_runs_on_pool_with_identical_result():
+    from repro.methods.sketches import install_fm
+
+    serial, parallel = _uda_pair()
+    for db in (serial, parallel):
+        install_fm(db, num_maps=16)
+    expected = serial.query_scalar("SELECT fmsketch(x) FROM v")
+    result = parallel.query_scalar("SELECT fmsketch(x) FROM v")
+    assert parallel.last_stats.aggregate_timings[0].executed_parallel
+    assert (result.bitmaps == expected.bitmaps).all()
+    parallel.close()
+
+
+def test_countmin_sketch_runs_on_pool_with_identical_result():
+    from repro.methods.sketches import install_countmin
+
+    serial, parallel = _uda_pair()
+    for db in (serial, parallel):
+        install_countmin(db, eps=0.05, delta=0.05)
+    expected = serial.query_scalar("SELECT cmsketch(x) FROM v")
+    result = parallel.query_scalar("SELECT cmsketch(x) FROM v")
+    assert parallel.last_stats.aggregate_timings[0].executed_parallel
+    assert (result.counters == expected.counters).all() and result.total == expected.total
+    parallel.close()
+
+
+def test_igd_epoch_runs_on_pool_with_identical_model():
+    import numpy as np
+
+    from repro.convex.igd import install_igd
+    from repro.convex.objectives import LeastSquaresObjective
+    from repro.datasets import make_regression, load_regression_table
+
+    data = make_regression(300, 4, noise=0.2, seed=17)
+    models = []
+    for workers in (0, 2):
+        db = Database(num_segments=4, parallel=workers)
+        if workers:
+            _force_pool(db)
+        load_regression_table(db, "d", data)
+        install_igd(db, LeastSquaresObjective(4))
+        record = db.execute("SELECT igd_epoch(%(m)s, 0.01, y, x) FROM d", {"m": None})
+        if workers:
+            assert record.stats.aggregate_timings[0].executed_parallel
+            db.close()
+        models.append(np.asarray(record.rows[0][0]["model"]))
+    np.testing.assert_array_equal(models[0], models[1])
+
+
+def test_cg_matvec_runs_on_pool_with_identical_solution():
+    import numpy as np
+
+    from repro.support.conjugate_gradient import conjugate_gradient_sql
+
+    rng = np.random.default_rng(5)
+    basis = rng.normal(size=(6, 6))
+    matrix = basis @ basis.T + 6 * np.eye(6)
+    rhs = rng.normal(size=6)
+    solutions = []
+    for workers in (0, 2):
+        db = Database(num_segments=3, parallel=workers)
+        if workers:
+            _force_pool(db)
+        db.create_table("m", [("id", "integer"), ("row", "double precision[]")])
+        db.load_rows("m", [(i, list(map(float, matrix[i]))) for i in range(6)])
+        result = conjugate_gradient_sql(db, "m", "row", rhs, tolerance=1e-10)
+        solutions.append(result.solution)
+        if workers:
+            db.close()
+    np.testing.assert_allclose(solutions[0], solutions[1], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# What cannot cross the process boundary stays in-process.
+# ---------------------------------------------------------------------------
+
+
+class _LockedKernel:
+    """A kernel object holding a lock."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+
+    def __call__(self, state, value):
+        return state + value
+
+
+def _local_closure():
+    def add(state, value):
+        return state + value
+
+    return add
+
+
+#: One unpicklable callable per exception ``pickle.dumps`` raises for it.
+UNPICKLABLE = {
+    "lambda": (lambda state, value: state + value, pickle.PicklingError),
+    "closure": (_local_closure(), AttributeError),
+    "lock": (_LockedKernel(), TypeError),
+}
+
+
+@pytest.mark.parametrize("kind", list(UNPICKLABLE))
+def test_unpicklable_transition_answers_in_process(kind):
+    transition, error = UNPICKLABLE[kind]
+    with pytest.raises(error):
+        pickle.dumps(transition)
+    definition = AggregateDefinition(
+        f"sum_{kind}", transition, merge=operator.add, initial_state=0.0
+    )
+    assert shippable_spec(definition, True) is None
+    db = _force_pool(Database(num_segments=4, parallel=2))
+    db.catalog.register_aggregate(definition)
+    db.create_table("v", [("x", "double precision")])
+    db.load_rows("v", [(float(i),) for i in range(50)])
+    result = db.execute(f"SELECT sum_{kind}(x) FROM v")
+    assert result.rows[0][0] == float(sum(range(50)))
+    assert not result.stats.aggregate_timings[0].executed_parallel
+    assert db.worker_pool.stats()["dispatches"] == 0
+    db.close()
+
+
+@pytest.mark.parametrize("kind", list(UNPICKLABLE))
+def test_unpicklable_batch_kernel_alone_ships_the_row_fold(kind):
+    batch, _error = UNPICKLABLE[kind]
+    definition = AggregateDefinition(
+        "sum_rows", operator.add, merge=operator.add, initial_state=0.0, batch_transition=batch
+    )
+    spec = shippable_spec(definition, True)
+    assert spec is not None and spec[0] == "funcs"
+    assert spec[3] is None  # the worker folds row at a time
+    pickle.dumps(spec)
+
+
+# ---------------------------------------------------------------------------
+# The pool folds ungrouped aggregates only: attaching one changes no grouped
+# or join path.
+# ---------------------------------------------------------------------------
+
+
+def _load_fact_dim(db: Database) -> Database:
+    # Both tables are distributed on ``k``: ``f.k = d.k`` is the co-located
+    # shape, ``f.q = d.k`` the broadcast one.
+    db.create_table(
+        "fact",
+        [
+            ("id", "integer"),
+            ("k", "integer"),
+            ("q", "integer"),
+            ("cat", "text"),
+            ("v", "double precision"),
+        ],
+        distributed_by="k",
+    )
+    db.create_table("dim", [("k", "integer"), ("label", "text")], distributed_by="k")
+    db.load_rows(
+        "fact", [(i, i % 40, (i * 7) % 53, f"c{i % 5}", float(i % 97) * 0.5) for i in range(600)]
+    )
+    db.load_rows("dim", [(k, f"d{k % 6}") for k in range(40)])
+    return db
+
+
+@pytest.fixture(scope="module")
+def pool_twins():
+    """``{tier: (database with a forced pool, pool-less twin)}``, same rows."""
+    twins = {}
+    for tier, compiled in (("compiled", True), ("reference", False)):
+        pooled = Database(num_segments=4, parallel=2, compiled_execution=compiled)
+        twin = Database(num_segments=4, compiled_execution=compiled)
+        twins[tier] = (_load_fact_dim(_force_pool(pooled)), _load_fact_dim(twin))
+    yield twins
+    for pooled, _ in twins.values():
+        pooled.close()
+
+
+POOL_FREE_SHAPES = {
+    "low_cardinality_group_by": (
+        "compiled", "SELECT cat, count(*), sum(v) FROM fact GROUP BY cat ORDER BY cat"
+    ),
+    "high_cardinality_group_by": (
+        "compiled", "SELECT id, sum(v), max(q) FROM fact GROUP BY id ORDER BY id"
+    ),
+    "expression_key": (
+        "compiled", "SELECT q % 7, count(*), avg(v) FROM fact GROUP BY q % 7 ORDER BY 1"
+    ),
+    "distinct_grouped_call": (
+        "compiled", "SELECT cat, count(DISTINCT q) FROM fact GROUP BY cat ORDER BY cat"
+    ),
+    "reference_tier_group_by": (
+        "reference", "SELECT cat, count(*), sum(v) FROM fact GROUP BY cat ORDER BY cat"
+    ),
+    "colocated_join": ("compiled", "SELECT f.id, d.label FROM fact f JOIN dim d ON f.k = d.k"),
+    "broadcast_join": ("compiled", "SELECT f.id, d.label FROM fact f JOIN dim d ON f.q = d.k"),
+    "join_then_group_by": (
+        "compiled",
+        "SELECT d.label, count(*), sum(f.v) FROM fact f JOIN dim d ON f.k = d.k "
+        "GROUP BY d.label ORDER BY d.label",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(POOL_FREE_SHAPES))
+def test_attaching_a_pool_changes_no_grouped_or_join_path(pool_twins, shape):
+    tier, sql = POOL_FREE_SHAPES[shape]
+    pooled, twin = pool_twins[tier]
+    before = pooled.worker_pool.stats()["dispatches"]
+    got, want = pooled.execute(sql), twin.execute(sql)
+    assert pooled.worker_pool.stats()["dispatches"] == before
+    assert not got.stats.executed_parallel
+    _assert_results_equal(got, want, sql)
+    assert got.stats.group_strategy == want.stats.group_strategy
+    assert got.stats.join_strategy == want.stats.join_strategy
+
+
+def test_ungrouped_aggregate_still_dispatches_beside_them(pool_twins):
+    pooled, twin = pool_twins["compiled"]
+    before = pooled.worker_pool.stats()["dispatches"]
+    got = pooled.execute("SELECT sum(v), count(*) FROM fact")
+    assert pooled.worker_pool.stats()["dispatches"] == before + 2  # one per aggregate
+    assert got.stats.executed_parallel
+    assert got.rows == twin.execute("SELECT sum(v), count(*) FROM fact").rows

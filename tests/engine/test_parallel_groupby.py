@@ -1,13 +1,10 @@
-"""Two-phase parallel GROUP BY: parity, planner heuristics, grouped stats.
+"""GROUP BY with and without a worker pool: parity and grouped stats.
 
-The grouped worker-pool dispatch (``Executor._parallel_grouped`` +
-``repro.engine.parallel._grouped_segment_task``) must be observationally
-identical to both in-process tiers over a corpus of grouped queries spanning
-random, NULL-heavy, single-group and high-cardinality key distributions —
-and the planner must keep statements in-process whenever shipping them could
-change results (user functions, DISTINCT, non-mergeable or non-picklable
-aggregates) or could not pay for the round trip (small fan-outs, extreme
-group cardinality).
+Grouped statements run in-process whether or not a pool is attached (the
+pool folds ungrouped aggregates only), so a database with a forced pool must
+answer a corpus of grouped queries — random, NULL-heavy, single-group and
+high-cardinality key distributions — exactly as both in-process tiers do,
+without sending the workers anything.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ def _populate(db: Database) -> None:
 
 
 def _force_pool(db: Database) -> Database:
-    db.worker_pool.min_dispatch_rows = 0  # dispatch everything, skip heuristics
+    db.worker_pool.min_dispatch_rows = 0  # dispatch every eligible aggregate
     return db
 
 
@@ -103,18 +100,20 @@ def test_grouped_parallel_matches_both_serial_tiers(tiers, query):
     _assert_results_equal(parallel_db.execute(query), expected, query)
 
 
-def test_grouped_dispatch_actually_engages(tiers):
+def test_grouped_statement_never_dispatches(tiers):
     parallel_db, _, _ = tiers
+    before = parallel_db.worker_pool.stats()["dispatches"]
     stats = parallel_db.execute("SELECT grp, count(*), sum(a) FROM g GROUP BY grp").stats
+    assert parallel_db.worker_pool.stats()["dispatches"] == before
+    assert stats.group_strategy == "columnar"
     assert len(stats.aggregate_timings) == 2
     for timings in stats.aggregate_timings:
-        assert timings.executed_parallel
-        assert timings.grouped_dispatch  # the two-phase path, not per-group fan-outs
+        assert not timings.executed_parallel
         assert timings.num_groups == 4  # x, y, z and the NULL group
-        assert timings.num_workers == 2
-        assert len(timings.per_segment_seconds) == 4
-    assert stats.executed_parallel
-    assert stats.measured_parallel_seconds is not None
+        assert timings.num_workers == 0
+        assert len(timings.per_segment_seconds) == 4  # folded per segment, merged
+    assert not stats.executed_parallel
+    assert stats.measured_parallel_seconds is None
 
 
 def test_grouped_statements_report_simulated_parallel_seconds(tiers):
@@ -136,79 +135,14 @@ def test_ungrouped_aggregates_keep_num_groups_zero(tiers):
     assert stats.aggregate_timings[0].num_groups == 0
 
 
-# ---------------------------------------------------------------------------
-# Planner guards: what stays in-process, and why.
-# ---------------------------------------------------------------------------
-
-
-def _fresh_parallel(min_dispatch_rows=None) -> Database:
-    db = Database(num_segments=4, parallel=2)
-    if min_dispatch_rows is not None:
-        db.worker_pool.min_dispatch_rows = min_dispatch_rows
+def _fresh_parallel() -> Database:
+    db = _force_pool(Database(num_segments=4, parallel=2))
     _populate(db)
     return db
 
 
-def test_high_cardinality_stays_in_process_under_default_floor():
-    db = _fresh_parallel(min_dispatch_rows=100)
-    # Every row its own group: merging O(groups) = O(rows) states on the
-    # coordinator would dominate, so the planner keeps the statement local.
-    result = db.execute("SELECT id, count(*) FROM g GROUP BY id")
-    assert len(result.rows) == ROWS
-    assert not result.stats.executed_parallel
-    assert not any(t.grouped_dispatch for t in result.stats.aggregate_timings)
-    # Low cardinality over the same data does dispatch.
-    result = db.execute("SELECT grp, count(*) FROM g GROUP BY grp")
-    assert result.stats.executed_parallel
-    assert all(t.grouped_dispatch for t in result.stats.aggregate_timings)
-    db.close()
-
-
-def test_small_grouped_fanouts_stay_in_process():
-    db = _fresh_parallel()  # default floor (512) above ROWS
-    result = db.execute("SELECT grp, count(*) FROM g GROUP BY grp")
-    assert not result.stats.executed_parallel
-    assert not db.worker_pool.started
-    db.close()
-
-
-def test_user_scalar_function_in_key_falls_back():
-    db = _fresh_parallel(min_dispatch_rows=0)
-    db.create_function("bucket", lambda x: int(x) % 3, return_type="integer")
-    result = db.execute("SELECT bucket(id), count(*) FROM g GROUP BY bucket(id) ORDER BY 1")
-    assert [row[0] for row in result.rows] == [0, 1, 2]
-    # The statement must not take the grouped dispatch (a worker would resolve
-    # a different `bucket`); per-group fan-outs of the builtin count are fine.
-    assert not any(t.grouped_dispatch for t in result.stats.aggregate_timings)
-    db.close()
-
-
-def test_shadowed_builtin_function_in_key_falls_back():
-    db = _fresh_parallel(min_dispatch_rows=0)
-    # Same name as the builtin, different semantics: shipping it would let a
-    # worker silently resolve the genuine builtin instead.
-    db.create_function("abs", lambda x: 0.0)
-    result = db.execute("SELECT abs(b), count(*) FROM g GROUP BY abs(b)")
-    assert [row[0] for row in result.rows] == [0.0, None]  # strict: abs(NULL) is NULL
-    assert not any(t.grouped_dispatch for t in result.stats.aggregate_timings)
-    db.close()
-
-
-def test_per_group_pool_fanouts_surface_in_grouped_timings():
-    # When grouped dispatch declines but individual groups still fan out to
-    # the pool, the accumulated statement-level timings must say so.
-    db = _fresh_parallel(min_dispatch_rows=0)
-    db.create_function("bucket", lambda x: int(x) % 3, return_type="integer")
-    result = db.execute("SELECT bucket(id), sum(a) FROM g GROUP BY bucket(id)")
-    timings = result.stats.aggregate_timings[0]
-    assert timings.executed_parallel and not timings.grouped_dispatch
-    assert timings.num_groups == 3
-    assert timings.num_workers == 2
-    db.close()
-
-
 def test_unshippable_aggregate_keeps_statement_in_process():
-    db = _fresh_parallel(min_dispatch_rows=0)
+    db = _fresh_parallel()
     db.create_aggregate(
         "lambda_sum",
         transition=lambda state, value: state + value,
@@ -231,114 +165,8 @@ def test_unshippable_aggregate_keeps_statement_in_process():
 
 
 def test_distinct_aggregate_keeps_statement_in_process():
-    db = _fresh_parallel(min_dispatch_rows=0)
+    db = _fresh_parallel()
     result = db.execute("SELECT grp, count(DISTINCT sparse) FROM g GROUP BY grp ORDER BY grp")
-    assert not any(t.grouped_dispatch for t in result.stats.aggregate_timings)
+    assert not result.stats.executed_parallel
+    assert db.worker_pool.stats()["dispatches"] == 0
     db.close()
-
-
-# ---------------------------------------------------------------------------
-# Formerly-fallback UDA kernels on the pool (the acceptance criterion).
-# ---------------------------------------------------------------------------
-
-
-def _uda_pair():
-    serial = Database(num_segments=4)
-    parallel = _force_pool(Database(num_segments=4, parallel=2))
-    for db in (serial, parallel):
-        db.create_table("v", [("x", "double precision"), ("grp", "text")], distributed_by="x")
-        db.load_rows("v", [(float(i % 37) * 1.7, "ab"[i % 2]) for i in range(300)])
-    return serial, parallel
-
-
-def test_quantile_reservoir_runs_on_pool_with_identical_result():
-    from repro.methods.quantiles import install_quantile_aggregate
-
-    serial, parallel = _uda_pair()
-    for db in (serial, parallel):
-        install_quantile_aggregate(db, reservoir_size=64)
-    expected = serial.query_scalar("SELECT quantile_reservoir(x) FROM v")
-    result = parallel.query_scalar("SELECT quantile_reservoir(x) FROM v")
-    assert parallel.last_stats.aggregate_timings[0].executed_parallel
-    assert result == expected  # byte-identical reservoirs, not just close
-    parallel.close()
-
-
-def test_fm_sketch_runs_on_pool_with_identical_result():
-    from repro.methods.sketches import install_fm
-
-    serial, parallel = _uda_pair()
-    for db in (serial, parallel):
-        install_fm(db, num_maps=16)
-    expected = serial.query_scalar("SELECT fmsketch(x) FROM v")
-    result = parallel.query_scalar("SELECT fmsketch(x) FROM v")
-    assert parallel.last_stats.aggregate_timings[0].executed_parallel
-    assert (result.bitmaps == expected.bitmaps).all()
-    parallel.close()
-
-
-def test_countmin_sketch_runs_on_pool_grouped_and_ungrouped():
-    from repro.methods.sketches import install_countmin
-
-    serial, parallel = _uda_pair()
-    for db in (serial, parallel):
-        install_countmin(db, eps=0.05, delta=0.05)
-    expected = serial.query_scalar("SELECT cmsketch(x) FROM v")
-    result = parallel.query_scalar("SELECT cmsketch(x) FROM v")
-    assert parallel.last_stats.aggregate_timings[0].executed_parallel
-    assert (result.counters == expected.counters).all() and result.total == expected.total
-    # The same kernel also rides the grouped dispatch.
-    expected_rows = serial.execute("SELECT grp, cmsketch(x) FROM v GROUP BY grp ORDER BY grp").rows
-    result_rows = parallel.execute("SELECT grp, cmsketch(x) FROM v GROUP BY grp ORDER BY grp").rows
-    assert parallel.last_stats.aggregate_timings[0].executed_parallel
-    assert parallel.last_stats.aggregate_timings[0].num_groups == 2
-    for (grp_a, sketch_a), (grp_b, sketch_b) in zip(result_rows, expected_rows):
-        assert grp_a == grp_b
-        assert (sketch_a.counters == sketch_b.counters).all()
-    parallel.close()
-
-
-def test_igd_epoch_runs_on_pool_with_identical_model():
-    import numpy as np
-
-    from repro.convex.igd import install_igd
-    from repro.convex.objectives import LeastSquaresObjective
-    from repro.datasets import make_regression, load_regression_table
-
-    data = make_regression(300, 4, noise=0.2, seed=17)
-    models = []
-    for workers in (0, 2):
-        db = Database(num_segments=4, parallel=workers)
-        if workers:
-            _force_pool(db)
-        load_regression_table(db, "d", data)
-        install_igd(db, LeastSquaresObjective(4))
-        record = db.execute("SELECT igd_epoch(%(m)s, 0.01, y, x) FROM d", {"m": None})
-        if workers:
-            assert record.stats.aggregate_timings[0].executed_parallel
-            db.close()
-        models.append(np.asarray(record.rows[0][0]["model"]))
-    np.testing.assert_array_equal(models[0], models[1])
-
-
-def test_cg_matvec_runs_on_pool_with_identical_solution():
-    import numpy as np
-
-    from repro.support.conjugate_gradient import conjugate_gradient_sql
-
-    rng = np.random.default_rng(5)
-    basis = rng.normal(size=(6, 6))
-    matrix = basis @ basis.T + 6 * np.eye(6)
-    rhs = rng.normal(size=6)
-    solutions = []
-    for workers in (0, 2):
-        db = Database(num_segments=3, parallel=workers)
-        if workers:
-            _force_pool(db)
-        db.create_table("m", [("id", "integer"), ("row", "double precision[]")])
-        db.load_rows("m", [(i, list(map(float, matrix[i]))) for i in range(6)])
-        result = conjugate_gradient_sql(db, "m", "row", rhs, tolerance=1e-10)
-        solutions.append(result.solution)
-        if workers:
-            db.close()
-    np.testing.assert_allclose(solutions[0], solutions[1], rtol=1e-12)

@@ -137,16 +137,19 @@ def test_query_error_propagates_byte_identical_and_is_not_retried():
         parallel.close()
 
 
-def test_grouped_aggregate_under_crash():
-    """GROUP BY rides the same supervision; groups stay byte-identical."""
+def test_multi_aggregate_statement_under_crash():
+    """Every aggregate of a statement rides the same supervision; a crash in
+    one fan-out leaves the whole row byte-identical."""
     faults = FaultInjector(11).arm("parallel.task", WORKER_CRASH, max_fires=1)
     db = _make_db(faults, task_timeout=3.0)
     plain = Database(num_segments=4)
     plain.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
     plain.load_rows("t", [(i % 12, i * 2) for i in range(ROWS)])
-    sql = "SELECT k, sum(v), count(*) FROM t GROUP BY k ORDER BY k"
+    sql = "SELECT sum(v), count(*), max(k), avg(v) FROM t WHERE k > 2"
     try:
-        assert db.execute(sql).rows == plain.execute(sql).rows
+        result = db.execute(sql)
+        assert result.rows == plain.execute(sql).rows
+        assert result.stats.executed_parallel and result.stats.worker_retries > 0
     finally:
         db.close()
         plain.close()

@@ -103,11 +103,11 @@ class TestParallelConsistency:
         expected, *_ = np.linalg.lstsq(data.features, data.response, rcond=None)
         np.testing.assert_allclose(model.coef, expected, rtol=1e-6)
 
-    def test_disabling_merge_path_gives_same_model(self):
+    def test_single_stream_gives_same_model(self):
         data = make_regression(300, 3, seed=48)
         models = []
-        for parallel in (True, False):
-            db = Database(num_segments=4, parallel_aggregation=parallel)
+        for segments in (4, 1):
+            db = Database(num_segments=segments)
             load_regression_table(db, "regr", data)
             models.append(linear_regression.train(db, "regr").coef)
         np.testing.assert_allclose(models[0], models[1], rtol=1e-9)
