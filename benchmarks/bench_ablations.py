@@ -18,6 +18,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -30,7 +31,13 @@ from repro.methods import kmeans, linear_regression, logistic_regression, naive_
 from repro.methods.sketches import countmin, fm
 from repro.datasets import load_logistic_table, make_logistic
 
-from harness import DEFAULT_ROWS, best_linregr, build_regression_database, run_linregr
+from harness import (
+    DEFAULT_ROWS,
+    best_linregr,
+    build_regression_database,
+    modelled_statement_seconds,
+    run_linregr,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +53,11 @@ def test_ablation_merge_path(benchmark, segments):
     linear_regression.install_linear_regression(database)
 
     def run():
-        result = database.execute("SELECT linregr(y, x) FROM data")
-        return result.stats.simulated_parallel_seconds
+        return modelled_statement_seconds(database.execute("SELECT linregr(y, x) FROM data").stats)
 
-    simulated = benchmark.pedantic(run, rounds=1, iterations=1)
+    modelled = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["segments"] = segments
-    benchmark.extra_info["simulated_parallel_seconds"] = simulated
+    benchmark.extra_info["modelled_parallel_seconds"] = modelled
 
 
 def test_merge_path_speedup_shape():
@@ -62,8 +68,8 @@ def test_merge_path_speedup_shape():
     rows = max(DEFAULT_ROWS, 24_000)
     segmented = best_linregr(build_regression_database(rows, 20, segments=8), version="v0.3")
     single = best_linregr(build_regression_database(rows, 20, segments=1), version="v0.3")
-    # Simulated elapsed aggregate time with 8 segments should be several times lower.
-    assert segmented.aggregate_parallel_seconds < single.aggregate_parallel_seconds / 3
+    # Modelled elapsed aggregate time with 8 segments should be several times lower.
+    assert segmented.aggregate_modelled_seconds < single.aggregate_modelled_seconds / 3
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +84,7 @@ def test_ablation_transition_kernel(benchmark, version):
         lambda: run_linregr(database, version=version), rounds=1, iterations=1
     )
     benchmark.extra_info["version"] = version
-    benchmark.extra_info["simulated_parallel_seconds"] = measurement.simulated_parallel_seconds
+    benchmark.extra_info["modelled_parallel_seconds"] = measurement.modelled_parallel_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +193,8 @@ def test_ablation_update_vs_ctas(benchmark, strategy):
 BATCH_RATIO_FLOORS = {"kmeans_step": 3.0, "logregr_irls_step": 3.0}
 
 
-def _batch_ablation_database(compiled: bool, rows: int) -> Database:
-    database = Database(num_segments=4, compiled_execution=compiled)
+def _batch_ablation_database(batch: bool, rows: int) -> Database:
+    database = Database(num_segments=4)
     load_regression_table(database, "regr", make_regression(rows, 20, seed=106))
     load_logistic_table(database, "logi", make_logistic(rows, 8, seed=107))
     load_points_table(database, "pts", make_blobs(rows, 4, 5, seed=108)[0])
@@ -201,13 +207,19 @@ def _batch_ablation_database(compiled: bool, rows: int) -> Database:
     fm.install_fm(database)
     countmin.install_countmin(database)
     naive_bayes.train_gaussian(database, "logi", "y", "x")  # registers nb_gauss_stats
+    if not batch:  # the product's own row fold: every aggregate without its kernel
+        for name in database.catalog.aggregate_names():
+            definition = database.catalog.get_aggregate(name)
+            database.catalog.register_aggregate(
+                dataclasses.replace(definition, batch_transition=None)
+            )
     return database
 
 
 def batch_kernel_ratios(rows: int = 2000, repeats: int = 5) -> dict:
     """``{aggregate: (row-fold seconds, batch seconds, ratio)}``: one statement
     per batched aggregate, best of ``repeats``, on twin databases that differ
-    only in ``compiled_execution`` (off = the row fold)."""
+    only in whether the aggregates carry their batch kernel."""
     centroids = np.linspace(-3.0, 3.0, 5 * 4)
     statements = {
         "linregr": ("SELECT linregr(y, x) FROM regr", None),
@@ -231,7 +243,10 @@ def batch_kernel_ratios(rows: int = 2000, repeats: int = 5) -> dict:
         seconds = {}
         for tier, database in twins.items():
             result = database.execute(sql, parameters)  # warm: lazy views, imports
-            assert result.stats.aggregate_timings[-1].fold_tier == tier, (name, tier)
+            timings = result.stats.aggregate_timings[-1]
+            assert timings.fold_tier == tier, (name, tier)
+            if tier == "rows":
+                assert timings.fold_decline_reason == "no batch kernel", name
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()

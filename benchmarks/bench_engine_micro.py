@@ -1,14 +1,13 @@
-"""Engine microbenchmarks: compiled closures vs the reference evaluator.
+"""Engine microbenchmarks: compiled expressions, batched folds, whole queries.
 
-Isolates the costs the query-compilation layer removes —
+Times the layers the query-compilation work shaped —
 
-* per-row ``RowContext`` construction plus tree-walking
-  ``Expression.evaluate`` dispatch (the reference evaluator's adapter), and
-* one Python transition call per row in the aggregate fold —
+* a compiled WHERE closure evaluated over every row,
+* one Python transition call per row in the aggregate fold against the
+  whole-segment batch kernel, and
+* an end-to-end filtered aggregate —
 
-and reports each as rows/second so the two are directly comparable.  The
-``*_interpreted_*`` metrics time the test oracle, not the product: they are
-reported but never gated.  Two entry points:
+and reports each as rows/second.  Two entry points:
 
 * ``pytest benchmarks/bench_engine_micro.py`` — pytest-benchmark targets
   following the Figure 4/5 harness conventions (rows/sec in ``extra_info``).
@@ -38,7 +37,6 @@ from repro import Database
 from repro.engine.aggregates import builtin_aggregates
 from repro.engine.compile import ColumnLayout, compile_expression
 from repro.engine.executor import _Relation
-from repro.engine.expressions import interpreted_row_function
 from repro.engine.parser import parse_statement
 from repro.engine.segments import SegmentedAggregator
 from repro.engine.vectorized import ColumnBatch
@@ -47,8 +45,8 @@ from repro.engine.vectorized import ColumnBatch
 MICRO_ROWS = max(DEFAULT_ROWS * 10, 40_000)
 
 
-def _make_database(compiled: bool, rows: int, *, workers: int = 0, segments: int = 4) -> Database:
-    database = Database(num_segments=segments, compiled_execution=compiled, parallel=workers)
+def _make_database(rows: int, *, workers: int = 0, segments: int = 4) -> Database:
+    database = Database(num_segments=segments, parallel=workers)
     database.create_table(
         "m",
         [("id", "integer"), ("a", "double precision"), ("b", "double precision")],
@@ -99,16 +97,11 @@ PARALLEL_ONLY_METRICS = frozenset(
 def _baseline_metric(name: str) -> bool:
     """Whether a metric belongs in the committed regression baseline.
 
-    Parallel metrics (machine/worker dependent), the opt-in ``--indexes``
+    Parallel metrics (machine/worker dependent) and the opt-in ``--indexes``
     metrics (absent from default runs, so the gate would flag them MISSING)
-    and the reference-evaluator metrics (they time the parity oracle, which
-    is allowed to be slow) stay out.
+    stay out.
     """
-    return (
-        name not in PARALLEL_ONLY_METRICS
-        and "_interpreted_" not in name
-        and not name.startswith("index_")
-    )
+    return name not in PARALLEL_ONLY_METRICS and not name.startswith("index_")
 
 
 def _make_index_database(rows: int, *, indexes: bool = True) -> Database:
@@ -201,25 +194,19 @@ def run_micro_suite(
     ``Database(parallel=workers)`` worker pool — and reports the measured
     (wall-clock, IPC included) speedup.  On a single-core machine expect a
     value below 1; the point of the metric is that it is measured, not
-    simulated.  ``indexes`` adds the index-probe vs sequential-scan pattern.
+    modelled.  ``indexes`` adds the index-probe vs sequential-scan pattern.
     """
-    database = _make_database(True, rows)
+    database = _make_database(rows)
     where, executor, relation = _expression_fixture(database)
     metrics: Dict[str, float] = {}
 
-    # -- expression evaluation: reference evaluator vs compiled closure ------
-    functions = executor._function_registry()
-    reference = interpreted_row_function(where, relation.context_keys(), functions, None)
-    metrics["expression_eval_interpreted_rows_per_sec"], interpreted_hits = _time_rows_per_sec(
-        rows, repeats=repeats, func=lambda: sum(1 for row in relation.rows if reference(row) is True)
-    )
+    # -- expression evaluation: the compiled closure --------------------------
     layout = ColumnLayout(relation.context_keys())
-    predicate = compile_expression(where, layout, functions)
+    predicate = compile_expression(where, layout, executor._function_registry())
     assert predicate is not None
-    metrics["expression_eval_compiled_rows_per_sec"], compiled_hits = _time_rows_per_sec(
+    metrics["expression_eval_compiled_rows_per_sec"] = _time_rows_per_sec(
         rows, repeats=repeats, func=lambda: sum(1 for row in relation.rows if predicate(row) is True)
-    )
-    assert interpreted_hits == compiled_hits
+    )[0]
 
     # -- aggregate fold throughput: row-at-a-time vs batched kernel ----------
     sum_definition = next(d for d in builtin_aggregates() if d.name == "sum")
@@ -234,25 +221,20 @@ def run_micro_suite(
     )
     assert abs(folded - batched) <= 1e-6 * max(1.0, abs(folded))
 
-    # -- end-to-end query throughput, both tiers -----------------------------
+    # -- end-to-end query throughput -------------------------------------------
     query = "SELECT sum(a), avg(b), count(*) FROM m WHERE a > 0"
-    metrics["query_compiled_rows_per_sec"], fast = _time_rows_per_sec(
+    metrics["query_compiled_rows_per_sec"] = _time_rows_per_sec(
         rows, repeats=repeats, func=lambda: database.execute(query).rows
-    )
-    interpreted_db = _make_database(False, rows)
-    metrics["query_interpreted_rows_per_sec"], slow = _time_rows_per_sec(
-        rows, repeats=repeats, func=lambda: interpreted_db.execute(query).rows
-    )
-    assert fast[0][2] == slow[0][2]
+    )[0]
 
-    # -- real parallel tier: measured (not simulated) speedup ----------------
+    # -- real parallel tier: measured (not modelled) speedup -----------------
     if workers > 0:
         scan = "SELECT sum(a), avg(b), count(*) FROM m"  # unfiltered aggregate scan
         metrics["query_unfiltered_serial_rows_per_sec"], serial_rows = _time_rows_per_sec(
             rows, repeats=repeats, func=lambda: database.execute(scan).rows
         )
         segments = max(4, workers)
-        parallel_db = _make_database(True, rows, workers=workers, segments=segments)
+        parallel_db = _make_database(rows, workers=workers, segments=segments)
         parallel_db.ensure_parallel_workers()  # spawn outside the timed region
         metrics["query_unfiltered_parallel_rows_per_sec"], parallel_rows = _time_rows_per_sec(
             rows, repeats=repeats, func=lambda: parallel_db.execute(scan).rows
@@ -288,8 +270,8 @@ def write_report(path: Path, metrics: Dict[str, float], *, rows: int = MICRO_ROW
 # ---------------------------------------------------------------------------
 
 
-def test_expression_eval_compiled_vs_interpreted(benchmark):
-    database = _make_database(True, MICRO_ROWS)
+def test_expression_eval_compiled(benchmark):
+    database = _make_database(MICRO_ROWS)
     where, executor, relation = _expression_fixture(database)
     layout = ColumnLayout(relation.context_keys())
     predicate = compile_expression(where, layout, executor._function_registry())
@@ -298,15 +280,12 @@ def test_expression_eval_compiled_vs_interpreted(benchmark):
         return sum(1 for row in relation.rows if predicate(row) is True)
 
     hits = benchmark(run)
-    reference = interpreted_row_function(
-        where, relation.context_keys(), executor._function_registry(), None
-    )
-    assert hits == sum(1 for row in relation.rows if reference(row) is True)
+    assert 0 < hits < MICRO_ROWS
     benchmark.extra_info["rows_per_sec"] = MICRO_ROWS / benchmark.stats.stats.mean
 
 
 def test_aggregate_batch_vs_fold(benchmark):
-    database = _make_database(True, MICRO_ROWS)
+    database = _make_database(MICRO_ROWS)
     relation = database.executor._scan_from_item(
         parse_statement("SELECT a FROM m").from_items[0], None
     )
@@ -320,7 +299,7 @@ def test_aggregate_batch_vs_fold(benchmark):
 
 
 def test_query_throughput_compiled(benchmark):
-    database = _make_database(True, MICRO_ROWS)
+    database = _make_database(MICRO_ROWS)
     result = benchmark(lambda: database.execute("SELECT sum(a), count(*) FROM m").rows)
     assert result[0][1] == MICRO_ROWS
     benchmark.extra_info["rows_per_sec"] = MICRO_ROWS / benchmark.stats.stats.mean
@@ -381,7 +360,7 @@ def main(argv=None) -> int:
     print(f"wrote {output}" + (" (smoke mode)" if args.smoke else ""))
     for name in sorted(metrics):
         if name.endswith("_measured_speedup"):
-            print(f"  {name:44s} {metrics[name]:>14.2f}x (measured, not simulated)")
+            print(f"  {name:44s} {metrics[name]:>14.2f}x (measured, not modelled)")
         elif name.endswith("_speedup"):
             print(f"  {name:44s} {metrics[name]:>14.2f}x")
         else:

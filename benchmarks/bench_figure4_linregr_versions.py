@@ -4,7 +4,7 @@ Each benchmark runs ``SELECT linregr(y, x) FROM data`` with one of the three
 implementation-generation kernels (v0.1alpha -> naive, v0.2.1beta ->
 unoptimized, v0.3 -> optimized) for a given number of independent variables
 and segments, at a laptop-scale row count.  pytest-benchmark records the wall
-time; the simulated parallel time and the rescaled paper reference are stored
+time; the modelled parallel time and the rescaled paper reference are stored
 in ``extra_info`` so the JSON output can be compared against the paper's
 table directly.
 
@@ -39,7 +39,7 @@ def test_linregr_version_times(benchmark, regression_database_factory, segments,
     benchmark.extra_info["variables"] = variables
     benchmark.extra_info["version"] = version
     benchmark.extra_info["rows"] = measurement.rows
-    benchmark.extra_info["simulated_parallel_seconds"] = measurement.simulated_parallel_seconds
+    benchmark.extra_info["modelled_parallel_seconds"] = measurement.modelled_parallel_seconds
     benchmark.extra_info["paper_seconds_rescaled"] = scale_paper_time(
         segments, variables, version, rows=measurement.rows
     )
@@ -52,7 +52,7 @@ def test_v03_beats_v021beta(regression_database_factory, variables):
     database = regression_database_factory(DEFAULT_ROWS, variables, 6)
     optimized = run_linregr(database, version="v0.3")
     unoptimized = run_linregr(database, version="v0.2.1beta")
-    assert optimized.simulated_parallel_seconds < unoptimized.simulated_parallel_seconds
+    assert optimized.modelled_parallel_seconds < unoptimized.modelled_parallel_seconds
 
 
 def test_naive_kernel_loses_at_wide_models(regression_database_factory):
@@ -60,7 +60,7 @@ def test_naive_kernel_loses_at_wide_models(regression_database_factory):
     database = regression_database_factory(DEFAULT_ROWS, 80, 6)
     optimized = run_linregr(database, version="v0.3")
     naive = run_linregr(database, version="v0.1alpha")
-    assert optimized.simulated_parallel_seconds < naive.simulated_parallel_seconds
+    assert optimized.modelled_parallel_seconds < naive.modelled_parallel_seconds
 
 
 def test_execution_time_grows_with_variables(regression_database_factory):
@@ -69,4 +69,4 @@ def test_execution_time_grows_with_variables(regression_database_factory):
     wide_db = regression_database_factory(DEFAULT_ROWS, 80, 6)
     narrow = run_linregr(narrow_db, version="v0.3")
     wide = run_linregr(wide_db, version="v0.3")
-    assert wide.simulated_parallel_seconds > narrow.simulated_parallel_seconds
+    assert wide.modelled_parallel_seconds > narrow.modelled_parallel_seconds

@@ -99,16 +99,23 @@ def report_figure4(variables=REPORT_VARIABLES, segments=PAPER_SEGMENTS, rows=DEF
                 "# variables": measurement.variables,
                 "version": measurement.version,
                 "rows": measurement.rows,
-                "measured (s)": measurement.simulated_parallel_seconds,
+                "modelled parallel (s)": measurement.modelled_parallel_seconds,
                 "paper rescaled (s)": paper if paper is not None else "n/a",
             }
         )
     lines = [
-        "Figure 4: Linear regression execution times "
+        "Figure 4: Linear regression execution times, modelled for concurrent segments "
         f"({rows} rows; paper column rescaled from 10M rows)",
         format_table(
             table_rows,
-            ["# segments", "# variables", "version", "rows", "measured (s)", "paper rescaled (s)"],
+            [
+                "# segments",
+                "# variables",
+                "version",
+                "rows",
+                "modelled parallel (s)",
+                "paper rescaled (s)",
+            ],
         ),
     ]
     return "\n".join(lines)
@@ -124,23 +131,24 @@ def report_figure5(variables=REPORT_VARIABLES, segments=PAPER_SEGMENTS, rows=DEF
         row = {"# independent variables": variables_count}
         for segment_count in segments:
             measurement = by_cell[(segment_count, variables_count)]
-            row[f"{segment_count} segments (s)"] = measurement.simulated_parallel_seconds
+            row[f"{segment_count} segments (s)"] = measurement.modelled_parallel_seconds
         table_rows.append(row)
     speedup_rows = []
     for segment_count in segments:
         widest = by_cell[(segment_count, variables[-1])]
         speedup_rows.append(
-            {"# segments": segment_count, "speedup vs single stream": widest.speedup}
+            {"# segments": segment_count, "modelled speedup": widest.modelled_speedup}
         )
     lines = [
-        f"Figure 5: Linear regression (v0.3) execution times, {rows} rows",
+        f"Figure 5: Linear regression (v0.3) execution times, modelled for concurrent "
+        f"segments, {rows} rows",
         format_table(
             table_rows,
             ["# independent variables"] + [f"{s} segments (s)" for s in segments],
         ),
         "",
-        "Parallel speedup at the widest model (ideal = # segments):",
-        format_table(speedup_rows, ["# segments", "speedup vs single stream"]),
+        "Modelled parallel speedup at the widest model (ideal = # segments):",
+        format_table(speedup_rows, ["# segments", "modelled speedup"]),
     ]
     return "\n".join(lines)
 

@@ -67,9 +67,10 @@ def main() -> None:
     if stats and stats.aggregate_timings:
         timing = stats.aggregate_timings[0]
         print()
+        slowest = max(timing.per_segment_seconds)
         print(f"Last aggregate ran on {timing.num_segments} segments; "
-              f"simulated parallel time {timing.simulated_parallel_seconds * 1000:.1f} ms, "
-              f"speedup {timing.speedup:.1f}x over a single stream.")
+              f"fold + merge + final {timing.serial_seconds * 1000:.1f} ms in all, "
+              f"slowest segment fold {slowest * 1000:.2f} ms.")
 
 
 if __name__ == "__main__":

@@ -1,45 +1,44 @@
 """Query-time expression compilation.
 
-The reference evaluator (:mod:`repro.engine.expressions`) builds a
-``RowContext`` dict per row and tree-walks ``Expression.evaluate`` per node —
-fine for correctness, but the Figure 4/5 benchmarks then measure interpreter
-overhead instead of the aggregation pattern the paper studies.  This module
-compiles an :class:`~repro.engine.expressions.Expression` tree **once per
-query** into a Python closure over *positional* row tuples: column names are
-resolved to tuple indices at plan time, scalar functions are looked up once,
-and each node becomes a small closure, so per-row evaluation is a chain of
-direct calls with no dict building and no ``isinstance`` dispatch.
+This module compiles an :class:`~repro.engine.expressions.Expression` tree
+**once per query** into a Python closure over *positional* row tuples: column
+names are resolved to tuple indices at plan time, scalar functions are looked
+up once, and each node becomes a small closure, so per-row evaluation is a
+chain of direct calls with no dict building and no ``isinstance`` dispatch.
+It is the engine's only expression evaluator.
 
-:func:`compile_expression` is strict and serves two kinds of caller:
+Two entry points share one compiler:
 
-* **Planning gates** ask a yes/no question — can this conjunct be pushed
-  below a join (``join.py``), probed through an index
-  (``planner.choose_access_path``)?  ``None`` is their "no"; nothing is
-  evaluated on the strength of it.
-* **The evaluation seam**, ``Executor._compile``, is total: every site that
-  evaluates an expression calls the ``fn(row)`` it returns.  Valid statements
-  always compile; ``None`` there means a malformed statement (unknown column
-  or function, unbound parameter, unknown cast type), and the seam substitutes
-  the reference evaluator's adapter
-  (:func:`~repro.engine.expressions.interpreted_row_function`) so the
-  statement raises that tier's error on the first row it evaluates.
+* :func:`compile_expression` is strict and serves the **planning gates** —
+  can this conjunct be pushed below a join (``join.py``), probed through an
+  index (``planner.choose_access_path``), folded to a constant?  ``None`` is
+  their "no"; nothing is evaluated on the strength of it.
+* :func:`compile_row_function` is total and serves **the evaluation seam**,
+  ``Executor._compile``: every site that evaluates an expression calls the
+  ``fn(row)`` it returns.  A node that does not resolve (unknown column or
+  function, ambiguous name, unbound parameter, unknown cast type) compiles to
+  a closure that raises, when that node is evaluated, the error evaluating it
+  means — so a malformed statement answers normally over zero rows, and a
+  CASE branch that is never taken never raises.
 
 Aggregate and window calls are never evaluated per row: the executor computes
 them and appends the values to the row, and the ``slots`` map
 (``id(call node)`` → row position) compiles each such call to a positional
-read.  ``tests/engine/test_compiled_parity.py`` holds the closures and the
-reference evaluator to identical results and identical errors.
+read.  ``tests/engine/test_compiled_parity.py`` holds the closures to a
+tree-walking reference evaluator kept under ``tests/`` — identical results
+and identical errors.
 
-NULL semantics are inherited rather than re-implemented: compiled closures
-call the *same* operator functions (``_BINARY_OPS``, :func:`is_null`,
-``values_equal``, ``like_match``) the interpreted nodes use.
+NULL semantics live in the operator functions of
+:mod:`repro.engine.expressions` (``_BINARY_OPS``, ``like_match``) and
+:mod:`repro.engine.types` (:func:`is_null`, ``values_equal``); the closures
+call them rather than re-implementing them.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -64,7 +63,7 @@ from .expressions import (
     like_match,
     like_regex,
 )
-from ..errors import TypeMismatchError
+from ..errors import ExecutionError, FunctionError, TypeMismatchError
 from .types import (
     BIGINT,
     BOOLEAN,
@@ -83,6 +82,7 @@ __all__ = [
     "VectorPredicate",
     "compile_expression",
     "compile_predicate_vector",
+    "compile_row_function",
     "keys_for_columns",
 ]
 
@@ -101,9 +101,8 @@ def keys_for_columns(
 
     This is the canonical name-visibility rule for a relation: a qualified key
     when the column has a source alias, plus the bare name when it is unique
-    across the relation.  The reference evaluator's ``RowContext`` and
-    :class:`ColumnLayout` (compiled tier) both derive from it, and
-    the join planner uses it to build layouts for the *two-relation* case —
+    across the relation.  :class:`ColumnLayout` derives from it, and the
+    join planner uses it to build layouts for the *two-relation* case —
     each side alone plus the combined ``left.columns + right.columns`` row —
     so a pushed-down predicate resolves names exactly as the post-join row
     would.
@@ -125,13 +124,8 @@ def keys_for_columns(
 
 
 class ColumnLayout:
-    """Positional name resolution for one relation.
-
-    Mirrors the key layout the reference evaluator's adapter builds
-    (qualified key, then bare key when unambiguous, later duplicates winning)
-    so that a compiled ``ColumnRef`` reads the same value the interpreted
-    lookup would.
-    """
+    """Positional name resolution for one relation: each column answers to
+    its :func:`keys_for_columns` keys, a later duplicate key winning."""
 
     def __init__(self, keys_per_column: Sequence[Sequence[str]]) -> None:
         self.width = len(keys_per_column)
@@ -165,10 +159,8 @@ class ColumnLayout:
     def resolve(self, name: str, qualifier: Optional[str] = None) -> Optional[int]:
         """Tuple index for a column reference, or ``None`` if unresolvable.
 
-        Follows ``RowContext.lookup``: qualified key first, then bare key,
-        then a unique qualified match for a bare reference.  Ambiguous or
-        missing names return ``None`` so the reference evaluator can raise
-        the proper error.
+        Qualified key first, then bare key, then a unique qualified match for
+        a bare reference; :meth:`unresolved_message` says why a ``None``.
         """
         if qualifier is not None:
             return self.key_to_index.get(f"{qualifier.lower()}.{name.lower()}")
@@ -181,6 +173,15 @@ class ColumnLayout:
             return self.key_to_index[matches[0]]
         return None
 
+    def unresolved_message(self, name: str, qualifier: Optional[str] = None) -> str:
+        """Why :meth:`resolve` found no column: missing, or ambiguous."""
+        if qualifier is not None:
+            return f"column {qualifier}.{name} not found in row"
+        suffix = "." + name.lower()
+        if sum(key.endswith(suffix) for key in self.key_to_index) > 1:
+            return f"column reference {name!r} is ambiguous"
+        return f"column {name!r} not found in row"
+
 
 def compile_expression(
     expression: Expression,
@@ -190,12 +191,11 @@ def compile_expression(
     aggregate_names: Optional[frozenset] = None,
     slots: Optional[Dict[int, int]] = None,
 ) -> Optional[RowFunction]:
-    """Compile an expression tree to a closure over positional row tuples.
+    """Compile an expression tree to a closure over positional row tuples,
+    or ``None`` when any node does not resolve (the planning gates' "no").
 
     ``slots`` maps ``id(node)`` of already-computed aggregate/window calls to
-    the row position holding their value.  Returns ``None`` when any node is
-    outside the compilable subset (see the module docstring for what callers
-    do with that).
+    the row position holding their value.
     """
     try:
         return _compile(
@@ -205,9 +205,50 @@ def compile_expression(
             parameters or {},
             aggregate_names or frozenset(),
             slots or {},
+            True,
         )
     except _Uncompilable:
         return None
+
+
+def compile_row_function(
+    expression: Expression,
+    layout: ColumnLayout,
+    functions: Dict[str, Callable[..., Any]],
+    parameters: Optional[Dict[str, Any]] = None,
+    aggregate_names: Optional[frozenset] = None,
+    slots: Optional[Dict[int, int]] = None,
+) -> RowFunction:
+    """:func:`compile_expression` made total: a node that does not resolve
+    compiles to a closure raising its error when (and only when) it is
+    evaluated."""
+    return _compile(
+        expression,
+        layout,
+        functions,
+        parameters or {},
+        aggregate_names or frozenset(),
+        slots or {},
+        False,
+    )
+
+
+def _unresolved(
+    strict: bool, error: Type[Exception], message: str, *first: RowFunction
+) -> RowFunction:
+    """A node that does not resolve.  Strict compilation gives up; total
+    compilation returns a closure that evaluates the node's ``first``
+    operands, as evaluating the node would, and then raises
+    ``error(message)``."""
+    if strict:
+        raise _Uncompilable
+
+    def fail(row):
+        for fn in first:
+            fn(row)
+        raise error(message)
+
+    return fail
 
 
 def _compile(
@@ -217,9 +258,10 @@ def _compile(
     parameters: Dict[str, Any],
     aggregate_names: frozenset,
     slots: Dict[int, int],
+    strict: bool,
 ) -> RowFunction:
     recurse = lambda child: _compile(
-        child, layout, functions, parameters, aggregate_names, slots
+        child, layout, functions, parameters, aggregate_names, slots, strict
     )
 
     if isinstance(node, Literal):
@@ -229,18 +271,21 @@ def _compile(
     if isinstance(node, ColumnRef):
         index = layout.resolve(node.name, node.qualifier)
         if index is None:
-            raise _Uncompilable(node.qualified_name)
+            message = layout.unresolved_message(node.name, node.qualifier)
+            return _unresolved(strict, ExecutionError, message)
         return lambda row: row[index]
 
     if isinstance(node, Parameter):
         if node.name not in parameters:
-            # Unbound parameter: the reference evaluator raises the error.
-            raise _Uncompilable(node.name)
+            return _unresolved(strict, ExecutionError, f"parameter {node.name!r} was not bound")
         value = parameters[node.name]
         return lambda row: value
 
     if isinstance(node, BinaryOp):
         op = node.op.lower()
+        func = _BINARY_OPS.get(op)
+        if func is None and op != "like":
+            return _unresolved(strict, ExecutionError, f"unsupported operator {node.op!r}")
         left = recurse(node.left)
         right = recurse(node.right)
         if op == "like":
@@ -254,10 +299,6 @@ def _compile(
                     else regex.match(str(text)) is not None
                 )
             return lambda row: like_match(left(row), right(row))
-        try:
-            func = _BINARY_OPS[op]
-        except KeyError:
-            raise _Uncompilable(node.op) from None
         return lambda row: func(left(row), right(row))
 
     if isinstance(node, UnaryOp):
@@ -275,25 +316,30 @@ def _compile(
                 return not bool(value)
 
             return negate
-        raise _Uncompilable(node.op)
+        message = f"unsupported unary operator {node.op!r}"
+        return _unresolved(strict, ExecutionError, message, operand)
 
     if isinstance(node, (FunctionCall, WindowCall)) and id(node) in slots:
         slot = slots[id(node)]
         return lambda row: row[slot]
 
-    if isinstance(node, WindowCall) or isinstance(node, Star):
-        raise _Uncompilable(type(node).__name__)
+    if isinstance(node, WindowCall):
+        message = "window function evaluated outside of a windowed query context"
+        return _unresolved(strict, ExecutionError, message)
+
+    if isinstance(node, Star):
+        message = "'*' cannot be evaluated as a scalar expression"
+        return _unresolved(strict, ExecutionError, message)
 
     if isinstance(node, FunctionCall):
         name = node.name.lower()
-        if node.star or node.distinct or name in aggregate_names:
-            # Aggregates are evaluated by the executor, never per row.
-            raise _Uncompilable(name)
-        try:
-            func = functions[name]
-        except KeyError:
-            raise _Uncompilable(name) from None
+        func = functions.get(name)
         arg_fns = [recurse(arg) for arg in node.args]
+        # Aggregates are evaluated by the executor, never per row; a planning
+        # gate must not mistake one for a scalar call.
+        if func is None or (strict and (node.star or node.distinct or name in aggregate_names)):
+            message = f"function {node.name!r} does not exist"
+            return _unresolved(strict, FunctionError, message, *arg_fns)
         if not arg_fns:
             return lambda row: func()
         if len(arg_fns) == 1:
@@ -352,8 +398,8 @@ def _compile(
         operand = recurse(node.operand)
         try:
             sql_type = type_from_name(node.type_name)
-        except TypeMismatchError:
-            raise _Uncompilable(node.type_name) from None
+        except TypeMismatchError as exc:
+            return _unresolved(strict, TypeMismatchError, str(exc), operand)
         return lambda row: coerce_value(operand(row), sql_type)
 
     if isinstance(node, InList):
@@ -393,7 +439,7 @@ def _compile(
 
         return between
 
-    raise _Uncompilable(type(node).__name__)
+    return _unresolved(strict, ExecutionError, f"cannot evaluate a {type(node).__name__}")
 
 
 # ---------------------------------------------------------------------------

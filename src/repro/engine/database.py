@@ -46,8 +46,9 @@ class Database:
 
     Every table stores each segment as typed packed columns
     (:class:`~repro.engine.columnar.ColumnStore`, dictionary-encoded text and
-    booleans); there is one storage layer, as Greenplum has one, and no
-    switch selects another.
+    booleans), and every statement runs on one execution tier — compiled
+    expressions, batched folds; as Greenplum has one storage layer and one
+    executor, no switch selects another.
 
     Parameters
     ----------
@@ -56,20 +57,11 @@ class Database:
         ``1`` behaves like single-node PostgreSQL; larger values emulate a
         Greenplum cluster with that many query processes.  Aggregates over
         segmented tables run the per-segment transition + merge path.
-    compiled_execution:
-        When true (default), every expression runs as a compiled
-        positional-row closure and aggregates use batched transitions; when
-        false ``Executor._compile`` hands out the reference evaluator
-        (tree-walking ``Expression.evaluate``) instead, and everything that
-        needs compiled predicates — batched kernels, bitmap scans, hash
-        joins (every join runs the nested loop), index scans — is off.  The
-        two must agree — the flag exists so the parity suites can compare
-        them.
     parallel:
         Number of worker *processes* for real parallel segment execution
-        (the third execution tier, :mod:`repro.engine.parallel`).  ``0``
-        (default) keeps everything in-process with simulated-parallel
-        timings; ``N >= 1`` creates a persistent
+        (:mod:`repro.engine.parallel`).  ``0``
+        (default) keeps everything in-process, timing each segment's fold;
+        ``N >= 1`` creates a persistent
         :class:`~repro.engine.parallel.SegmentWorkerPool` that runs an
         *ungrouped* aggregate's per-segment transition folds concurrently
         and merges the partial states on the coordinator.  Grouped
@@ -77,12 +69,6 @@ class Database:
         Aggregates the pool cannot ship (non-picklable UDAs) transparently
         fall back to the in-process fold, so results are identical with and
         without workers.
-    auto_analyze:
-        When true, the planner refreshes a table's ``ANALYZE`` statistics at
-        planning time once enough DML has accumulated since the last
-        snapshot (autovacuum-style damping).  Off by default: statistics are
-        collected only by explicit ``ANALYZE`` (or :meth:`analyze`), the
-        paper's interrogate-the-catalog workflow.
     plan_cache:
         Capacity of the plan cache (:mod:`repro.engine.plancache`).  ``0``
         (the embedded default) disables caching: every ``execute`` parses
@@ -118,9 +104,7 @@ class Database:
         self,
         num_segments: int = 1,
         *,
-        compiled_execution: bool = True,
         parallel: int = 0,
-        auto_analyze: bool = False,
         plan_cache: int = 0,
         parallel_task_timeout: Optional[float] = None,
         parallel_task_retries: Optional[int] = None,
@@ -136,8 +120,6 @@ class Database:
         if plan_cache < 0:
             raise ValidationError("plan cache capacity must not be negative")
         self.num_segments = num_segments
-        self.compiled_execution = compiled_execution
-        self.auto_analyze = auto_analyze
         self.parallel = int(parallel)
         self.faults = faults
         self._worker_pool: Optional[SegmentWorkerPool] = (

@@ -16,11 +16,13 @@ written as plain SQL plus driver functions, exactly as in the paper.
 Every expression the executor evaluates — WHERE, select list, GROUP BY keys,
 aggregate arguments, HAVING, ORDER BY keys, window partition/order/argument
 keys, join ON conditions, UPDATE SET, DELETE WHERE, INSERT VALUES — goes
-through one seam, :meth:`Executor._compile`, which always returns a function
-over a positional row.  Aggregate and window results are appended to the row
+through one seam, :meth:`Executor._compile`, which always returns a compiled
+function over a positional row (:func:`~repro.engine.compile.
+compile_row_function`; a malformed statement's unresolvable node raises its
+error when evaluated).  Aggregate and window results are appended to the row
 as trailing slots, so the expressions around them are ordinary ``fn(row)``
-calls too.  There are two production tiers (see ``docs/engine-execution.md``
-and ``docs/architecture.md``):
+calls too.  There is one execution tier, which a worker pool can widen (see
+``docs/engine-execution.md`` and ``docs/architecture.md``):
 
 * **Compiled + batched** — ``_compile`` returns a closure built once per
   statement (:mod:`repro.engine.compile`); when the aggregated input is a
@@ -34,12 +36,12 @@ and ``docs/architecture.md``):
   partial states.  Grouped statements and joins run in-process either way.
   Results are identical to the in-process tier by construction.
 
-The **reference evaluator** (tree-walking ``Expression.evaluate``) is one
-adapter behind the same seam: ``_compile`` returns it when the compiler
-declines a malformed statement — which then raises the evaluator's own error
-on the first row — and for every expression under
-``Database(compiled_execution=False)``, the oracle
-``tests/engine/test_compiled_parity.py`` compares the closures against.
+The parity suites hold this executor to a row-at-a-time reference executor
+kept under ``tests/`` (``tests/reference_tier.py``), which overrides
+:meth:`_compile` with a tree-walking evaluator and declines every fast path
+this class chooses (:meth:`_hash_join_plan`, :meth:`_plan_multi_from`,
+:meth:`_choose_single_table_path`, :meth:`_vectorized_single_table`,
+:meth:`_match_masks`, :meth:`_grouped_results`).
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .compile import (
     RowFunction,
     compile_expression,
     compile_predicate_vector,
+    compile_row_function,
     keys_for_columns,
 )
 from .grouping import columnar_top_k, output_position, partitioned_grouped
@@ -72,21 +75,9 @@ from .join import (
     plan_hash_join,
     plan_key_join,
 )
-from .planner import (
-    choose_access_path,
-    collect_table_statistics,
-    explain_statement,
-    maybe_auto_analyze,
-)
+from .planner import choose_access_path, collect_table_statistics, explain_statement
 from .vectorized import ColumnBatch
-from .expressions import (
-    ColumnRef,
-    Expression,
-    FunctionCall,
-    Star,
-    WindowCall,
-    interpreted_row_function,
-)
+from .expressions import ColumnRef, Expression, FunctionCall, Star, WindowCall
 from . import matview as matview_module
 from .parser.ast_nodes import (
     AlterTableRenameStatement,
@@ -157,7 +148,6 @@ class _Relation:
 class _CompileEnv(NamedTuple):
     """What the expressions over one relation's rows compile against."""
 
-    keys_per_column: List[List[str]]
     layout: ColumnLayout
     functions: Dict[str, Callable[..., Any]]
     parameters: Optional[Dict[str, Any]]
@@ -226,10 +216,8 @@ class Executor:
         The layout depends only on the column list, so one env is valid
         across WHERE filtering (which preserves columns).
         """
-        keys_per_column = keys_for_columns(columns)
         return _CompileEnv(
-            keys_per_column,
-            ColumnLayout(keys_per_column),
+            ColumnLayout.for_columns(columns),
             self._function_registry(),
             parameters,
             self._aggregate_names(),
@@ -251,23 +239,10 @@ class Executor:
     def _compile(self, expression: Expression, env: _CompileEnv) -> RowFunction:
         """The one expression-evaluation seam: always a function of one row.
 
-        The compiled closure by default.  The reference evaluator's adapter
-        when ``compiled_execution`` is off, or when the strict compiler
-        declines — which, at this seam, means a malformed statement; the
-        adapter resolves nothing ahead of time, so the statement raises the
-        evaluator's own error on the first row it evaluates and returns
-        normally over no rows.
+        In a malformed statement only the unresolvable node raises, and only
+        when evaluated, so the statement returns normally over no rows.
         """
-        keys_per_column, layout, functions, parameters, aggregate_names, slots = env
-        if self.database.compiled_execution:
-            fn = compile_expression(
-                expression, layout, functions, parameters, aggregate_names, slots
-            )
-            if fn is not None:
-                return fn
-        return interpreted_row_function(
-            expression, keys_per_column, functions, parameters, slots
-        )
+        return compile_row_function(expression, *env)
 
     # ------------------------------------------------------------------ dispatch
 
@@ -491,20 +466,10 @@ class Executor:
                 stats.record_join("cross", len(relation.rows))
             return relation
 
-        # Hash joins are the compiled tier's; the reference tier (and any
-        # condition the planner declines) runs the nested loop.
-        if self.database.compiled_execution:
-            plan = plan_hash_join(
-                left.columns,
-                right.columns,
-                join.kind,
-                join.condition,
-                self._function_registry(),
-                parameters,
-            )
-            if plan is not None:
-                outcome = execute_hash_join(plan, left, right)
-                return self._joined_relation(left, right, outcome, stats)
+        plan = self._hash_join_plan(left, right, join, parameters)
+        if plan is not None:
+            outcome = execute_hash_join(plan, left, right)
+            return self._joined_relation(left, right, outcome, stats)
 
         # Nested-loop fallback: non-equi conditions, volatile subtrees, names
         # the planner could not resolve.
@@ -524,6 +489,17 @@ class Executor:
             stats.record_join("nested_loop", len(relation.rows))
         return relation
 
+    def _hash_join_plan(self, left: _Relation, right: _Relation, join: Join, parameters):
+        """The hash-join plan for an ON join, or ``None``: the nested loop."""
+        return plan_hash_join(
+            left.columns,
+            right.columns,
+            join.kind,
+            join.condition,
+            self._function_registry(),
+            parameters,
+        )
+
     def _build_relation(
         self,
         from_items: List[object],
@@ -538,8 +514,8 @@ class Executor:
         of pushed-down prefilters and hash-join steps
         (:func:`repro.engine.join.classify_where_conjuncts`); WHERE conjuncts
         consumed by the plan are removed from the returned residual.  When
-        planning is not applicable (single source, no WHERE, the reference
-        tier, unsafe clause) the WHERE comes back untouched.
+        planning is not applicable (single source, no WHERE, unsafe clause)
+        the WHERE comes back untouched.
         """
         if not from_items:
             # SELECT without FROM: a single empty row.
@@ -547,7 +523,7 @@ class Executor:
         relations = [self._scan_from_item(item, parameters, stats) for item in from_items]
         if len(relations) == 1:
             return relations[0], where
-        if where is not None and self.database.compiled_execution:
+        if where is not None:
             planned = self._plan_multi_from(relations, where, parameters, stats)
             if planned is not None:
                 return planned
@@ -711,9 +687,6 @@ class Executor:
         the chosen probe, and EXPLAIN calls this too so the displayed plan is
         the executed plan by construction.
         """
-        database = self.database
-        if not database.compiled_execution:
-            return None
         if len(statement.from_items) != 1 or not isinstance(
             statement.from_items[0], TableRef
         ):
@@ -726,7 +699,7 @@ class Executor:
         table = self.catalog.get_table(ref.name)
         if not any(index.usable for index in table.indexes):
             return None
-        statistics = maybe_auto_analyze(database, table)
+        statistics = self.catalog.get_statistics(table.name)
         path = choose_access_path(
             table,
             ref.effective_alias,
@@ -786,8 +759,6 @@ class Executor:
         caller to the row path; both paths are byte-identical by contract.
         """
         if statement.where is None:
-            return None
-        if not self.database.compiled_execution:
             return None
         if len(statement.from_items) != 1 or not isinstance(
             statement.from_items[0], TableRef
@@ -1063,19 +1034,7 @@ class Executor:
         limit_hint: Optional[int] = None,
     ) -> List[Tuple[Any, ...]]:
         call_plans = self._call_plans(aggregate_calls, env)
-
-        # Phase-one grouping: the partitioned kernel; the row loop is the
-        # ``compiled_execution=False`` oracle.  Both produce the same
-        # structure: (key, representative row or None, [aggregate value per
-        # call]) in global first-appearance order.
-        group_results = None
-        if self.database.compiled_execution:
-            group_results = partitioned_grouped(self, statement, call_plans, relation, stats, env)
-        else:
-            stats.group_decline_reason = "compiled_execution is off"
-        if group_results is None:
-            stats.group_strategy = "rows"
-            group_results = self._inprocess_grouped(statement, call_plans, relation, stats, env)
+        group_results = self._grouped_results(statement, call_plans, relation, stats, env)
 
         # HAVING, the select list and ORDER BY run over one row per group:
         # the representative's columns, then one slot per aggregate call.
@@ -1115,82 +1074,24 @@ class Executor:
         """One ``(call, definition, aggregator, argument functions)`` per
         aggregate call, compiled once per statement (not per group)."""
         aggregates = self._aggregate_registry()
-        use_batch = self.database.compiled_execution
         call_plans = []
         for call in aggregate_calls:
             definition = aggregates[call.name.lower()]
             argument_fns = [self._compile(arg, env) for arg in call.args]
-            aggregator = SegmentedAggregator(definition, use_batch=use_batch)
-            call_plans.append((call, definition, aggregator, argument_fns))
+            call_plans.append((call, definition, SegmentedAggregator(definition), argument_fns))
         return call_plans
 
-    def _inprocess_grouped(
-        self,
-        statement: SelectStatement,
-        call_plans: List[tuple],
-        relation: _Relation,
-        stats: ExecutionStats,
-        env: _CompileEnv,
-    ) -> List[Tuple[Any, Optional[Tuple[Any, ...]], List[Any]]]:
-        """Row-at-a-time grouping: the ``compiled_execution=False`` oracle
-        the partitioned kernel is held byte-identical to."""
-        groups: Dict[Any, List[int]] = {}
-        group_order: List[Any] = []
-        if statement.group_by:
-            key_fns = [self._compile(expression, env) for expression in statement.group_by]
-            for index, row in enumerate(relation.rows):
-                key = tuple(hashable_key(fn(row)) for fn in key_fns)
-                if key not in groups:
-                    groups[key] = []
-                    group_order.append(key)
-                groups[key].append(index)
-        else:
-            key = ()
-            groups[key] = list(range(len(relation.rows)))
-            group_order.append(key)
-
-        single_group = len(groups) == 1 and not statement.group_by
-        # Grouped statements accumulate one statement-level timings object per
-        # aggregate call (per-group contributions folded together), so
-        # ``simulated_parallel_seconds`` projects grouped work too instead of
-        # silently dropping it.
-        grouped_timings = [
-            AggregateTimings(aggregate_name=definition.name)
-            for _call, definition, _aggregator, _argument_fns in call_plans
-        ]
-        results: List[Tuple[Any, Optional[Tuple[Any, ...]], List[Any]]] = []
-        rows, segment_ids = relation.rows, relation.segment_ids
-        for key in group_order:
-            member_indices = groups[key]
-            aggregate_values: List[Any] = []
-            for position, (call, definition, aggregator, argument_fns) in enumerate(call_plans):
-                # Per-segment argument streams, built row by row.
-                streams: List[list] = [[] for _ in range(max(relation.num_segments, 1))]
-                for index in member_indices:
-                    segment = segment_ids[index] if index < len(segment_ids) else 0
-                    streams[segment].append(
-                        (1,) if call.star else tuple(fn(rows[index]) for fn in argument_fns)
-                    )
-                value, timings = self._run_aggregate(
-                    call, aggregator, streams, grouped=bool(statement.group_by)
-                )
-                aggregate_values.append(value)
-                if single_group:
-                    stats.aggregate_timings.append(timings)
-                else:
-                    grouped_timings[position].accumulate(timings)
-            representative = rows[member_indices[0]] if member_indices else None
-            results.append((key, representative, aggregate_values))
-        if not single_group and group_order:
-            stats.aggregate_timings.extend(grouped_timings)
-        return results
+    def _grouped_results(self, statement, call_plans, relation, stats, env):
+        """Phase one of an aggregate statement: ``(key, representative row or
+        None, [aggregate value per call])`` per group, in first-appearance
+        order (:func:`~repro.engine.grouping.partitioned_grouped`)."""
+        return partitioned_grouped(self, statement, call_plans, relation, stats, env)
 
     def _run_aggregate(
         self, call: FunctionCall, aggregator: SegmentedAggregator, streams: list, *, grouped: bool
     ) -> Tuple[Any, AggregateTimings]:
         """One group's value for one call, from its per-segment argument
-        streams (column batches from the kernel, argument tuples from the
-        row loop).  Only an ungrouped statement's aggregate may fold on the
+        streams.  Only an ungrouped statement's aggregate may fold on the
         worker pool; :meth:`SegmentedAggregator.run` keeps an unmergeable one
         in-process."""
         pool = None if grouped else self.database.worker_pool
@@ -1322,11 +1223,9 @@ class Executor:
     def _match_masks(self, table: Table, where: Expression, env: _CompileEnv):
         """One WHERE match bitmap per segment off the packed columns, or None.
 
-        ``None`` (reference tier, compile decline, or a runtime abort on any
-        segment) sends the caller to the per-row predicate.
+        ``None`` (compile decline, or a runtime abort on any segment) sends
+        the caller to the per-row predicate.
         """
-        if not self.database.compiled_execution:
-            return None
         vector = compile_predicate_vector(
             where, env.layout, [column.sql_type for column in table.schema], env.parameters
         )

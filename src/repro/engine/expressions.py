@@ -1,31 +1,29 @@
-"""Expression AST and evaluator.
+"""Expression AST and the SQL operator functions.
 
 Expressions are shared between the SQL parser (which builds them from text)
-and programmatic callers (driver code may build them directly).  Evaluation
-happens against a :class:`RowContext` mapping column names to values plus the
-catalog's function registry; aggregate calls are *not* evaluated here — the
-executor replaces them with pre-computed values (see
-:mod:`repro.engine.executor`), which mirrors how a database separates scalar
-expression evaluation from aggregation.
+and programmatic callers (driver code may build them directly).  The nodes
+are plain data: :mod:`repro.engine.compile` turns a tree into a closure over
+positional rows once per statement, and that closure is the only way the
+engine evaluates one.  Aggregate and window calls are *not* evaluated per
+row — the executor computes them and the compiled closure reads each value
+back from its slot in the row (see :mod:`repro.engine.executor`), which
+mirrors how a database separates scalar expression evaluation from
+aggregation.
 
-``Expression.evaluate`` is the engine's *reference evaluator*.  The executor
-never calls it directly: :func:`interpreted_row_function` adapts it to the
-positional-row ``fn(row)`` shape every evaluation site uses, and
-``Executor._compile`` hands that adapter out only when the closure compiler
-(:mod:`repro.engine.compile`) declines a malformed statement — so the
-statement raises this module's errors on the first row it evaluates — or when
-``Database(compiled_execution=False)`` selects the reference tier.
+The operator functions below (``_BINARY_OPS``, :func:`like_match`) carry the
+SQL NULL semantics; the compiled closures, the code-space predicate programs
+and the test suite's reference evaluator all call them.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ExecutionError, FunctionError
+from ..errors import ExecutionError
 from .types import is_null, values_equal
 
 __all__ = [
@@ -46,8 +44,6 @@ __all__ = [
     "InList",
     "IsNull",
     "Between",
-    "RowContext",
-    "interpreted_row_function",
     "like_match",
     "like_regex",
 ]
@@ -55,9 +51,6 @@ __all__ = [
 
 class Expression:
     """Base class for all expression nodes."""
-
-    def evaluate(self, context: "RowContext") -> Any:
-        raise NotImplementedError
 
     def children(self) -> List["Expression"]:
         return []
@@ -79,84 +72,6 @@ class Expression:
         return [node for node in self.walk() if isinstance(node, ColumnRef)]
 
 
-class RowContext:
-    """Evaluation context: one row's values plus the function registry.
-
-    Column values are looked up first by qualified name (``alias.column``)
-    then by bare column name.  Aggregate and window results computed by the
-    executor arrive in ``placeholders``, keyed by the ``id`` of the call node
-    they stand in for.
-    """
-
-    def __init__(
-        self,
-        values: Dict[str, Any],
-        functions: Optional[Dict[str, Callable[..., Any]]] = None,
-        parameters: Optional[Dict[str, Any]] = None,
-        placeholders: Optional[Dict[int, Any]] = None,
-    ) -> None:
-        self.values = values
-        self.functions = functions or {}
-        self.parameters = parameters or {}
-        self.placeholders = placeholders or {}
-
-    def lookup(self, name: str, qualifier: Optional[str] = None) -> Any:
-        if qualifier is not None:
-            key = f"{qualifier.lower()}.{name.lower()}"
-            if key in self.values:
-                return self.values[key]
-            raise ExecutionError(f"column {qualifier}.{name} not found in row")
-        key = name.lower()
-        if key in self.values:
-            return self.values[key]
-        # Fall back to any qualified match (unambiguous bare reference).
-        matches = [k for k in self.values if k.endswith("." + key)]
-        if len(matches) == 1:
-            return self.values[matches[0]]
-        if len(matches) > 1:
-            raise ExecutionError(f"column reference {name!r} is ambiguous")
-        raise ExecutionError(f"column {name!r} not found in row")
-
-    def call(self, name: str, args: Sequence[Any]) -> Any:
-        try:
-            func = self.functions[name.lower()]
-        except KeyError:
-            raise FunctionError(f"function {name!r} does not exist") from None
-        return func(*args)
-
-
-def interpreted_row_function(
-    expression: Expression,
-    keys_per_column: Sequence[Sequence[str]],
-    functions: Optional[Dict[str, Callable[..., Any]]],
-    parameters: Optional[Dict[str, Any]],
-    slots: Optional[Dict[int, int]] = None,
-) -> Callable[[Tuple[Any, ...]], Any]:
-    """The reference evaluator behind the executor's ``fn(row)`` seam.
-
-    Returns a function over one positional row that builds the row's
-    :class:`RowContext` — ``keys_per_column[i]`` are the names column ``i``
-    answers to, ``slots`` maps ``id(call node)`` to the trailing row position
-    holding that aggregate/window call's computed value — and tree-walks
-    :meth:`Expression.evaluate`.  Nothing is resolved ahead of time, so a
-    malformed expression raises on the first row evaluated and never on an
-    empty input.
-    """
-    slot_items = tuple((slots or {}).items())
-
-    def evaluate_row(row: Tuple[Any, ...]) -> Any:
-        values: Dict[str, Any] = {}
-        for keys, value in zip(keys_per_column, row):
-            for key in keys:
-                values[key] = value
-        placeholders = {node_id: row[index] for node_id, index in slot_items}
-        return expression.evaluate(
-            RowContext(values, functions, parameters, placeholders)
-        )
-
-    return evaluate_row
-
-
 # ---------------------------------------------------------------------------
 # Leaf nodes
 # ---------------------------------------------------------------------------
@@ -166,17 +81,11 @@ def interpreted_row_function(
 class Literal(Expression):
     value: Any
 
-    def evaluate(self, context: RowContext) -> Any:
-        return self.value
-
 
 @dataclass
 class ColumnRef(Expression):
     name: str
     qualifier: Optional[str] = None
-
-    def evaluate(self, context: RowContext) -> Any:
-        return context.lookup(self.name, self.qualifier)
 
     @property
     def qualified_name(self) -> str:
@@ -191,9 +100,6 @@ class Star(Expression):
 
     qualifier: Optional[str] = None
 
-    def evaluate(self, context: RowContext) -> Any:  # pragma: no cover - expanded earlier
-        raise ExecutionError("'*' cannot be evaluated as a scalar expression")
-
 
 @dataclass
 class Parameter(Expression):
@@ -204,11 +110,6 @@ class Parameter(Expression):
     """
 
     name: str
-
-    def evaluate(self, context: RowContext) -> Any:
-        if self.name not in context.parameters:
-            raise ExecutionError(f"parameter {self.name!r} was not bound")
-        return context.parameters[self.name]
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +193,8 @@ def like_regex(pattern: str) -> "re.Pattern":
 def like_match(text: Any, pattern: Any) -> Optional[bool]:
     """SQL ``LIKE``: ``%``/``_`` wildcards, NULL-propagating.
 
-    Shared by the interpreted evaluator and the compiled closures in
-    :mod:`repro.engine.compile` so the two tiers cannot drift.
+    Shared by the row closures and the code-space predicate programs of
+    :mod:`repro.engine.compile`, so the two cannot drift.
     """
     if is_null(text) or is_null(pattern):
         return None
@@ -339,21 +240,6 @@ class BinaryOp(Expression):
     def children(self) -> List[Expression]:
         return [self.left, self.right]
 
-    def evaluate(self, context: RowContext) -> Any:
-        op = self.op.lower()
-        if op == "like":
-            return self._like(context)
-        try:
-            func = _BINARY_OPS[op]
-        except KeyError:
-            raise ExecutionError(f"unsupported operator {self.op!r}") from None
-        if op in ("and", "or"):
-            return func(self.left.evaluate(context), self.right.evaluate(context))
-        return func(self.left.evaluate(context), self.right.evaluate(context))
-
-    def _like(self, context: RowContext) -> Optional[bool]:
-        return like_match(self.left.evaluate(context), self.right.evaluate(context))
-
 
 @dataclass
 class UnaryOp(Expression):
@@ -362,19 +248,6 @@ class UnaryOp(Expression):
 
     def children(self) -> List[Expression]:
         return [self.operand]
-
-    def evaluate(self, context: RowContext) -> Any:
-        value = self.operand.evaluate(context)
-        op = self.op.lower()
-        if op == "-":
-            return None if is_null(value) else -value
-        if op == "+":
-            return value
-        if op == "not":
-            if value is None:
-                return None
-            return not bool(value)
-        raise ExecutionError(f"unsupported unary operator {self.op!r}")
 
 
 @dataclass
@@ -386,14 +259,6 @@ class FunctionCall(Expression):
 
     def children(self) -> List[Expression]:
         return list(self.args)
-
-    def evaluate(self, context: RowContext) -> Any:
-        # An aggregate call the executor already computed arrives as a
-        # placeholder; anything else reaching this point is a scalar call.
-        if id(self) in context.placeholders:
-            return context.placeholders[id(self)]
-        argument_values = [arg.evaluate(context) for arg in self.args]
-        return context.call(self.name, argument_values)
 
 
 @dataclass
@@ -415,13 +280,6 @@ class WindowCall(Expression):
         children.extend(expr for expr, _ in self.spec.order_by)
         return children
 
-    def evaluate(self, context: RowContext) -> Any:
-        if id(self) in context.placeholders:
-            return context.placeholders[id(self)]
-        raise ExecutionError(
-            "window function evaluated outside of a windowed query context"
-        )
-
 
 @dataclass
 class CaseExpr(Expression):
@@ -436,14 +294,6 @@ class CaseExpr(Expression):
             nodes.append(self.else_result)
         return nodes
 
-    def evaluate(self, context: RowContext) -> Any:
-        for condition, result in self.whens:
-            if condition.evaluate(context) is True:
-                return result.evaluate(context)
-        if self.else_result is not None:
-            return self.else_result.evaluate(context)
-        return None
-
 
 @dataclass
 class ArrayLiteral(Expression):
@@ -451,12 +301,6 @@ class ArrayLiteral(Expression):
 
     def children(self) -> List[Expression]:
         return list(self.items)
-
-    def evaluate(self, context: RowContext) -> Any:
-        values = [item.evaluate(context) for item in self.items]
-        if values and all(isinstance(v, str) for v in values):
-            return values
-        return np.asarray(values, dtype=np.float64)
 
 
 @dataclass
@@ -469,19 +313,6 @@ class Subscript(Expression):
     def children(self) -> List[Expression]:
         return [self.base, self.index]
 
-    def evaluate(self, context: RowContext) -> Any:
-        array = self.base.evaluate(context)
-        position = self.index.evaluate(context)
-        if is_null(array) or is_null(position):
-            return None
-        idx = int(position) - 1
-        if idx < 0 or idx >= len(array):
-            return None
-        value = array[idx]
-        if isinstance(value, np.generic):
-            return value.item()
-        return value
-
 
 @dataclass
 class Cast(Expression):
@@ -490,11 +321,6 @@ class Cast(Expression):
 
     def children(self) -> List[Expression]:
         return [self.operand]
-
-    def evaluate(self, context: RowContext) -> Any:
-        from .types import coerce_value, type_from_name
-
-        return coerce_value(self.operand.evaluate(context), type_from_name(self.type_name))
 
 
 @dataclass
@@ -506,13 +332,6 @@ class InList(Expression):
     def children(self) -> List[Expression]:
         return [self.operand] + list(self.items)
 
-    def evaluate(self, context: RowContext) -> Any:
-        value = self.operand.evaluate(context)
-        if is_null(value):
-            return None
-        found = any(values_equal(value, item.evaluate(context)) for item in self.items)
-        return (not found) if self.negated else found
-
 
 @dataclass
 class IsNull(Expression):
@@ -521,10 +340,6 @@ class IsNull(Expression):
 
     def children(self) -> List[Expression]:
         return [self.operand]
-
-    def evaluate(self, context: RowContext) -> Any:
-        result = is_null(self.operand.evaluate(context))
-        return (not result) if self.negated else result
 
 
 @dataclass
@@ -536,12 +351,3 @@ class Between(Expression):
 
     def children(self) -> List[Expression]:
         return [self.operand, self.low, self.high]
-
-    def evaluate(self, context: RowContext) -> Any:
-        value = self.operand.evaluate(context)
-        low = self.low.evaluate(context)
-        high = self.high.evaluate(context)
-        if is_null(value) or is_null(low) or is_null(high):
-            return None
-        result = low <= value <= high
-        return (not result) if self.negated else result

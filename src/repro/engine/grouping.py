@@ -374,8 +374,8 @@ def _group_frames(executor, group_by, call_plans, relation, env):
     can number and every aggregate argument is a stored column or a plan-time
     constant (riding as a :class:`ConstantColumn`).  Otherwise the statement's
     row functions compute each key and argument column once (*partitioned*),
-    with the first refusing guard as the reason; ``frames`` is ``None`` when
-    the rows are not in segment order.
+    with the first refusing guard as the reason — as one stream when the
+    rows are not in segment order.
     """
     layout, parts = env.layout, _scan_parts(relation)
     key_indices = [column_index(expression, layout) for expression in group_by]
@@ -419,10 +419,10 @@ def _group_frames(executor, group_by, call_plans, relation, env):
             for segment, (store, at) in enumerate(parts)
         ]
         return frames, "columnar", None
-    runs = segment_runs(relation.segment_ids)
-    if runs is None:
-        return None, "rows", "rows are not in segment order"
     rows = relation.rows
+    runs = segment_runs(relation.segment_ids)
+    if runs is None:  # fold as one stream, in row order
+        runs = [(0, 0, len(rows))]
     keys = [
         [hashable_key(fn(row)) for row in rows]
         for fn in [executor._compile(expression, env) for expression in group_by]
@@ -445,14 +445,12 @@ def _group_frames(executor, group_by, call_plans, relation, env):
 
 def grouped_states(
     executor, group_by, call_plans, relation, stats, env, deferred=frozenset()
-) -> Optional[GroupedStates]:
-    """Per-group, per-segment aggregate states of one grouped statement
-    (``None`` when the rows are not in segment order); records the strategy."""
+) -> GroupedStates:
+    """Per-group, per-segment aggregate states of one grouped statement;
+    records the strategy."""
     frames, stats.group_strategy, stats.group_decline_reason = _group_frames(
         executor, group_by, call_plans, relation, env
     )
-    if frames is None:
-        return None
     aggregators = [aggregator for _call, _definition, aggregator, _fns in call_plans]
     return fold_groups(frames, aggregators, max(relation.num_segments, 1), deferred)
 
@@ -472,8 +470,7 @@ def partitioned_grouped(executor, statement, call_plans, relation, stats, env):
     """In-process phase one of an aggregate statement on the kernel.
 
     Returns ``(key, representative row, [value per aggregate call])`` per
-    group in first-appearance order, or ``None`` (rows not in segment order:
-    the executor's row loop takes them).  A call folds per segment and merges
+    group in first-appearance order.  A call folds per segment and merges
     — **one** ``AggregateTimings`` for all its groups — unless each group must
     go through :meth:`SegmentedAggregator.run` on its own: an ungrouped
     aggregate (the per-segment timings and pool fan-out of Figures 4/5), or a
@@ -488,8 +485,6 @@ def partitioned_grouped(executor, statement, call_plans, relation, stats, env):
     grouped = grouped_states(
         executor, statement.group_by, call_plans, relation, stats, env, deferred
     )
-    if grouped is None:
-        return None
     if ungrouped and not grouped.keys:
         # An ungrouped aggregate has its one row over no input too.
         grouped.keys, grouped.rows = [()], [None]

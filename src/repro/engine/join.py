@@ -1,8 +1,7 @@
 """Equi-join planning and hash-join execution.
 
-Before this module existed every join was an interpreted nested loop: the
-executor evaluated the raw ON condition against a per-pair ``RowContext``
-dict, O(N·M) context builds per join, and implicit multi-table FROM lists
+Before this module existed every join was a nested loop that evaluated the
+raw ON condition once per pair of rows, and implicit multi-table FROM lists
 were materialized as full Cartesian products before WHERE filtering.  The
 paper's text-analytics methods are exactly the workloads that shape punishes
 — the Viterbi dynamic program issues a three-way ``FROM factors f, paths p,
@@ -32,8 +31,7 @@ This module closes that gap with the classic two-step treatment:
    equality GROUP BY and DISTINCT use — and a NULL (or NaN) key component
    never matches, matching SQL ``=`` semantics.  Key expressions, prefilters
    and the residual all run as compiled positional-row closures from
-   :mod:`repro.engine.compile`; no per-pair ``RowContext`` dicts exist
-   anywhere on this path.
+   :mod:`repro.engine.compile`.
 
 Every join runs in-process, with or without a worker pool: the pool folds
 ungrouped aggregates only (:mod:`repro.engine.parallel`).

@@ -1,8 +1,7 @@
 """Real parallel segment execution: a persistent worker-process pool.
 
-The simulated-parallel methodology in :mod:`repro.engine.segments` *models*
-what a shared-nothing cluster would do (``max`` over per-segment fold times).
-This module is the third execution tier that actually does it: a persistent
+In-process, :mod:`repro.engine.segments` folds the segments one after
+another and times each.  This module runs them concurrently: a persistent
 :mod:`multiprocessing` pool of worker processes, one task per segment, true
 two-phase aggregation exactly as Greenplum/MADlib execute it —
 
@@ -206,12 +205,11 @@ _BUILTIN_FINGERPRINTS = {
 _UNPICKLABLE = (pickle.PicklingError, AttributeError, TypeError)
 
 #: Attribute used to memoize the spec decision on a definition object, so the
-#: picklability probe runs once per (definition, batch-tier) rather than once
-#: per query.
+#: picklability probe runs once per definition rather than once per query.
 _SPEC_CACHE_ATTR = "_parallel_spec_cache"
 
 
-def shippable_spec(definition: AggregateDefinition, use_batch: bool) -> Optional[tuple]:
+def shippable_spec(definition: AggregateDefinition) -> Optional[tuple]:
     """A picklable description of ``definition``'s transition side, or None.
 
     ``("builtin", name)`` when the definition *is* the built-in registered
@@ -224,17 +222,17 @@ def shippable_spec(definition: AggregateDefinition, use_batch: bool) -> Optional
     cannot run in workers at all and the caller must fold in-process.
     """
     cached = getattr(definition, _SPEC_CACHE_ATTR, None)
-    if cached is not None and cached[0] == use_batch:
-        return cached[1]
-    spec = _build_spec(definition, use_batch)
+    if cached is not None:
+        return cached[0]
+    spec = _build_spec(definition)
     try:
-        setattr(definition, _SPEC_CACHE_ATTR, (use_batch, spec))
+        setattr(definition, _SPEC_CACHE_ATTR, (spec,))
     except AttributeError:  # pragma: no cover - slotted subclass
         pass
     return spec
 
 
-def _build_spec(definition: AggregateDefinition, use_batch: bool) -> Optional[tuple]:
+def _build_spec(definition: AggregateDefinition) -> Optional[tuple]:
     name = definition.name.lower()
     fingerprint = _BUILTIN_FINGERPRINTS.get(name)
     if (
@@ -248,7 +246,7 @@ def _build_spec(definition: AggregateDefinition, use_batch: bool) -> Optional[tu
         pickle.dumps((definition.transition, definition.initial_state))
     except _UNPICKLABLE:
         return None
-    batch = definition.batch_transition if use_batch else None
+    batch = definition.batch_transition
     if batch is not None:
         try:
             pickle.dumps(batch)
@@ -323,9 +321,9 @@ def _fold_segment_task(task: tuple) -> Tuple[Any, float]:
     """
     from .segments import SegmentedAggregator  # deferred: avoids import cycle
 
-    directive, spec, stream, use_batch = task
+    directive, spec, stream = task
     _apply_worker_fault(directive)
-    aggregator = SegmentedAggregator(_resolve_spec(spec), use_batch=use_batch)
+    aggregator = SegmentedAggregator(_resolve_spec(spec))
     start = time.perf_counter()
     state = aggregator._fold_stream(stream)
     return state, time.perf_counter() - start
@@ -640,8 +638,6 @@ class SegmentWorkerPool:
         self,
         definition: AggregateDefinition,
         segment_streams: Sequence[Any],
-        *,
-        use_batch: bool = True,
     ) -> Optional[Tuple[List[Any], List[float], float]]:
         """Fold every segment stream in the worker pool.
 
@@ -659,11 +655,11 @@ class SegmentWorkerPool:
             return None
         if sum(len(stream) for stream in segment_streams) < self.min_dispatch_rows:
             return None
-        spec = shippable_spec(definition, use_batch)
+        spec = shippable_spec(definition)
         if spec is None:
             return None
         self.ensure_started()
-        tasks = [(spec, stream, use_batch) for stream in segment_streams]
+        tasks = [(spec, stream) for stream in segment_streams]
         start = time.perf_counter()
         results = self._dispatch(tasks)
         wall = time.perf_counter() - start

@@ -61,7 +61,6 @@ from .parser.ast_nodes import (
     UpdateStatement,
 )
 from .parser.lexer import tokenize
-from .planner import AUTO_ANALYZE_FRACTION, AUTO_ANALYZE_MIN_MUTATIONS
 from .result import ResultSet
 from .segments import ExecutionStats, ScanDetail
 
@@ -89,6 +88,11 @@ _CACHEABLE_FIRST_KEYWORDS = {"select", "insert", "update", "delete"}
 #: parameterized: ``ORDER BY 2`` is an ordinal, ``LIMIT``/``OFFSET`` require
 #: literal numbers in the grammar, and GROUP BY ordinals ride along.
 _FREEZE_KEYWORDS = {"group", "order", "limit", "offset"}
+
+#: A cached plan is rebuilt once a table it reads has mutated more than this
+#: many times since planning (absolute floor, fraction of its row count then).
+REPLAN_MIN_MUTATIONS = 64
+REPLAN_FRACTION = 0.2
 
 
 class NormalizedStatement(NamedTuple):
@@ -417,10 +421,10 @@ class CachedPlan:
     def is_valid(self, catalog) -> bool:
         """Still safe to reuse?  Any DDL or enough DML drift says no.
 
-        The drift threshold mirrors auto-ANALYZE damping: a table that has
-        mutated more than ``max(64, 20% of its row count at plan time)``
-        times since the plan was built gets replanned, because access-path
-        choices are data-dependent even though the AST is not.
+        A table that has mutated more than ``max(REPLAN_MIN_MUTATIONS,
+        REPLAN_FRACTION × its row count at plan time)`` times since the plan
+        was built gets replanned, because access-path choices are
+        data-dependent even though the AST is not.
         """
         if catalog.version != self.catalog_version:
             return False
@@ -428,7 +432,7 @@ class CachedPlan:
             if not catalog.has_table(name):
                 return False
             drift = catalog.get_table(name)._data_version - version
-            if drift > max(AUTO_ANALYZE_MIN_MUTATIONS, AUTO_ANALYZE_FRACTION * row_count):
+            if drift > max(REPLAN_MIN_MUTATIONS, REPLAN_FRACTION * row_count):
                 return False
         # Materialized views invalidate strictly on *any* content change
         # (delta fold, refresh, recompute): unlike base-table drift, which

@@ -77,7 +77,6 @@ __all__ = [
     "AccessPath",
     "choose_access_path",
     "constant_value",
-    "maybe_auto_analyze",
     "PlanNode",
     "explain_statement",
     "expression_sql",
@@ -110,11 +109,6 @@ ANALYZE_SAMPLE_ROWS = 4096
 FM_NUM_MAPS = 16
 #: Equi-depth histogram bucket count.
 HISTOGRAM_BUCKETS = 20
-
-#: auto_analyze re-analyzes once this many mutations accumulate since the
-#: last snapshot (absolute floor, fraction of the analyzed row count).
-AUTO_ANALYZE_MIN_MUTATIONS = 64
-AUTO_ANALYZE_FRACTION = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -242,32 +236,6 @@ def collect_table_statistics(table) -> TableStatistics:
         if stats.kind is not None:
             stats.histogram = _equi_depth_histogram(sample, HISTOGRAM_BUCKETS)
         statistics.columns[column.name.lower()] = stats
-    return statistics
-
-
-def maybe_auto_analyze(database, table) -> Optional[TableStatistics]:
-    """Refresh a table's statistics when ``auto_analyze`` warrants it.
-
-    Returns the current (possibly just-refreshed) statistics, or None when
-    none exist and auto-analyze is off.  Re-analysis triggers on missing
-    statistics or once mutations since the last snapshot exceed
-    ``max(AUTO_ANALYZE_MIN_MUTATIONS, AUTO_ANALYZE_FRACTION * analyzed
-    rows)`` — the autovacuum-style damping that keeps a mixed DML/query
-    workload from paying O(n) analysis per statement.
-    """
-    catalog = database.catalog
-    statistics = catalog.get_statistics(table.name)
-    if not getattr(database, "auto_analyze", False):
-        return statistics
-    if statistics is not None:
-        mutations = table._data_version - statistics.data_version
-        threshold = max(
-            AUTO_ANALYZE_MIN_MUTATIONS, AUTO_ANALYZE_FRACTION * statistics.row_count
-        )
-        if mutations <= threshold:
-            return statistics
-    statistics = collect_table_statistics(table)
-    catalog.set_statistics(statistics)
     return statistics
 
 
@@ -826,7 +794,7 @@ class _ExplainBuilder:
         detail = ""
         if join.kind == "cross" or join.condition is None:
             label = "Nested Loop (cross)"
-        elif self.executor.database.compiled_execution:
+        else:
             left_columns = self._static_columns(join.left)
             right_columns = self._static_columns(join.right)
             if left_columns is not None and right_columns is not None:
@@ -976,11 +944,7 @@ class _ExplainBuilder:
         items = statement.from_items
         static = [self._static_columns(item) for item in items]
         hash_positions = set()
-        if (
-            statement.where is not None
-            and all(columns is not None for columns in static)
-            and self.executor.database.compiled_execution
-        ):
+        if statement.where is not None and all(columns is not None for columns in static):
             all_columns = [column for columns in static for column in columns]
             source_of: List[int] = []
             for source, columns in enumerate(static):

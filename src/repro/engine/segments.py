@@ -4,29 +4,20 @@ The paper's infrastructure evaluation (Section 4.4, Figures 4 and 5) measures
 how the user-defined-aggregate building block scales with the number of
 Greenplum *segments* (one query process per core).  Two regimes exist here:
 
-**Simulated parallelism** (the default, ``Database(parallel=0)``): per-segment
-transition folds are executed one after another on a single core while their
-individual wall-clock times are recorded, and the harness reports
-
-* ``serial_seconds`` — the sum of per-segment times (what one segment would
-  pay to scan everything), and
-* ``simulated_parallel_seconds`` — ``max`` of the per-segment times plus the
-  merge and final phases, i.e. the elapsed time a shared-nothing cluster
-  would observe if every segment ran concurrently.  This is a *projection
-  from a model*, not a measurement — never present it as a measured speedup.
-
-The substitution preserves the quantity Figure 5 studies (speedup of the
-aggregation pattern with the number of segments) because the per-segment work
-is embarrassingly parallel by construction: the transition function touches
-only its segment's rows and the merge cost is independent of *n*.
+**In-process** (the default, ``Database(parallel=0)``): per-segment
+transition folds run one after another on a single core while their
+individual wall-clock times are recorded.  ``serial_seconds`` is their sum
+plus the merge and final phases (what one segment would pay to scan
+everything).  The engine reports what it measured and nothing more; a
+projection of the elapsed time a cluster would observe is the benchmark
+harness's business (``benchmarks/harness.py``), labelled there as a model.
 
 **Measured parallelism** (``Database(parallel=N)``): per-segment folds really
 run concurrently in the persistent worker pool of
 :mod:`repro.engine.parallel`, and the timings additionally record
 ``measured_parallel_wall_seconds`` — the coordinator-observed wall clock of
 the whole fan-out (dispatch + folds + IPC) — next to the worker-measured
-per-segment fold times.  ``measured_parallel_seconds`` is then a true
-elapsed-time counterpart to ``simulated_parallel_seconds``.
+per-segment fold times.
 
 Per-segment folds run in one of two tiers (see ``docs/engine-execution.md``):
 a **batched** tier that hands a segment's argument columns to the
@@ -35,8 +26,8 @@ aggregates and ``linregr``'s v0.3 kernel define one), and the
 **row-at-a-time** fold, which is the fallback for user-defined aggregates,
 order-sensitive aggregates (``array_agg``, ``string_agg``) and any batch
 kernel that raises.  Both tiers are timed identically — on the coordinator
-and inside pool workers — so the per-segment timing methodology is unchanged
-across all three execution strategies.
+and inside pool workers — so the per-segment timing methodology is the same
+in-process and on the pool.
 """
 
 from __future__ import annotations
@@ -81,9 +72,9 @@ class AggregateTimings:
     num_workers: int = 0
     #: Number of groups this aggregate was evaluated over; ``0`` for a plain
     #: (ungrouped) aggregate.  Grouped statements report one timings object
-    #: per aggregate call with the per-group work folded together, so
-    #: ``simulated_parallel_seconds`` / ``measured_parallel_seconds`` stay
-    #: comparable between grouped and ungrouped statements.
+    #: per aggregate call with the per-group work folded together, so the
+    #: per-segment totals stay comparable between grouped and ungrouped
+    #: statements.
     num_groups: int = 0
     #: Why the worker-pool fan-out for this aggregate fell back in-process
     #: (``worker_lost``, ``pickle_error``, ...); ``None`` when it ran in the
@@ -96,8 +87,8 @@ class AggregateTimings:
     batch_fallback_reason: Optional[str] = None
     #: Which tier folded the transition side — ``batch`` (whole-segment
     #: kernel) or ``rows`` — and, for ``rows``, why not the faster one: ``no
-    #: batch kernel``, ``below _BATCH_MIN_ROWS``, ``compiled_execution=False``
-    #: or the ``batch_fallback_reason``.
+    #: batch kernel``, ``below _BATCH_MIN_ROWS``, ``use_batch=False`` or the
+    #: ``batch_fallback_reason``.
     fold_tier: Optional[str] = None
     fold_decline_reason: Optional[str] = None
     #: Supervision work this aggregate's fan-out(s) paid for: task
@@ -114,10 +105,8 @@ class AggregateTimings:
 
         Per-segment fold times add elementwise (segment *i*'s total transition
         work across all groups), merge/final phases add, and ``num_groups``
-        counts the contributions — so ``simulated_parallel_seconds`` of the
-        accumulated object projects the two-phase grouped execution (max of
-        per-segment totals plus all merges/finals).  Groups never fold on the
-        worker pool, so there is no measured wall clock to add.
+        counts the contributions.  Groups never fold on the worker pool, so
+        there is no measured wall clock to add.
         """
         if len(other.per_segment_seconds) > len(self.per_segment_seconds):
             grow = len(other.per_segment_seconds) - len(self.per_segment_seconds)
@@ -145,18 +134,6 @@ class AggregateTimings:
         return sum(self.per_segment_seconds) + self.merge_seconds + self.final_seconds
 
     @property
-    def simulated_parallel_seconds(self) -> float:
-        """*Projected* elapsed time if all segments ran concurrently.
-
-        This is the model quantity (max over per-segment fold times plus the
-        merge/final phases), not a measurement — compare with
-        :attr:`measured_parallel_seconds`, which is real wall clock from the
-        worker-pool tier.  Reports must label the two distinctly.
-        """
-        slowest = max(self.per_segment_seconds, default=0.0)
-        return slowest + self.merge_seconds + self.final_seconds
-
-    @property
     def measured_parallel_seconds(self) -> Optional[float]:
         """Measured elapsed time of the aggregate under real parallelism.
 
@@ -166,18 +143,6 @@ class AggregateTimings:
         if self.measured_parallel_wall_seconds is None:
             return None
         return self.measured_parallel_wall_seconds + self.merge_seconds + self.final_seconds
-
-    @property
-    def speedup(self) -> float:
-        """Serial over *simulated*-parallel time (ideal value: num_segments).
-
-        A modelled ratio; for measured speedup divide ``serial_seconds`` by
-        :attr:`measured_parallel_seconds` instead.
-        """
-        parallel = self.simulated_parallel_seconds
-        if parallel == 0.0:
-            return float(self.num_segments or 1)
-        return self.serial_seconds / parallel
 
     @property
     def measured_speedup(self) -> Optional[float]:
@@ -280,7 +245,8 @@ class ExecutionStats:
     pool_respawns: int = 0
     #: Which phase one a GROUP BY ran — ``columnar`` (group ids from packed /
     #: dictionary key columns), ``partitioned`` (ids from key values computed
-    #: per column) or ``rows`` (the row loop) — and which ORDER BY ran:
+    #: per column) or ``rows`` (the reference tier's row loop, under
+    #: ``tests/``) — and which ORDER BY ran:
     #: ``columnar-topk``, ``heap`` or ``sort``.  Each ``*_decline_reason``
     #: names the first guard that refused the faster one.
     group_strategy: Optional[str] = None
@@ -315,25 +281,6 @@ class ExecutionStats:
         self.join_steps.append(JoinStep(strategy, rows_emitted, estimated_rows))
 
     @property
-    def simulated_parallel_seconds(self) -> float:
-        """*Projected* elapsed time: non-aggregate work plus modelled parallel
-        aggregate time.
-
-        A model quantity, not a measurement (see the module docstring): when
-        the statement actually executed on the worker pool, ``total_seconds``
-        is already the measured parallel wall clock — check
-        :attr:`executed_parallel` before presenting either number as a
-        speedup.  The non-aggregate part of the query (planning, projection
-        of the tiny final result) is not parallelised, matching the paper's
-        observation that "the overhead for a single query is very low and
-        only a fraction of a second".
-        """
-        serial_aggregate = sum(t.serial_seconds for t in self.aggregate_timings)
-        parallel_aggregate = sum(t.simulated_parallel_seconds for t in self.aggregate_timings)
-        other = max(self.total_seconds - serial_aggregate, 0.0)
-        return other + parallel_aggregate
-
-    @property
     def executed_parallel(self) -> bool:
         """True when any aggregate of this statement ran on the worker pool."""
         return any(t.executed_parallel for t in self.aggregate_timings)
@@ -357,16 +304,16 @@ class SegmentedAggregator:
 
     This is the execution-side counterpart of
     :class:`~repro.engine.aggregates.AggregateRunner`: same semantics, but it
-    times every phase so the Figure 4 / Figure 5 harness can report per-segment
-    and simulated-parallel numbers.
+    times every phase so the Figure 4 / Figure 5 harness can report
+    per-segment numbers.
     """
 
     def __init__(self, definition: AggregateDefinition, *, use_batch: bool = True) -> None:
         self.definition = definition
         self.runner = AggregateRunner(definition)
-        #: When false the batched tier is disabled and every fold is
-        #: row-at-a-time (``Database(compiled_execution=False)``), so the
-        #: parity suite compares genuinely different execution strategies.
+        #: When false every fold is row-at-a-time: the seam the reference
+        #: executor under ``tests/`` and the batch-kernel suites use to
+        #: compare the two fold tiers (in-process only; workers batch).
         self.use_batch = use_batch
         #: ``batch_kernel:<ExceptionType>`` once a batch kernel has raised and
         #: the row fold took over (results are unaffected).
@@ -404,7 +351,7 @@ class SegmentedAggregator:
         has ``longest`` rows, and the first guard that refused the batch one."""
         timings.batch_fallback_reason = reason = self.batch_fallback_reason
         if not self.use_batch:
-            reason = "compiled_execution=False"
+            reason = "use_batch=False"
         elif self.definition.batch_transition is None:
             reason = "no batch kernel"
         elif longest < self._BATCH_MIN_ROWS:
@@ -496,9 +443,7 @@ class SegmentedAggregator:
             states = None
             if pool is not None:
                 try:
-                    outcome = pool.run_aggregate(
-                        self.definition, segment_streams, use_batch=self.use_batch
-                    )
+                    outcome = pool.run_aggregate(self.definition, segment_streams)
                 except WorkerPoolError as exc:
                     # Infra faults only (dead/hung workers, IPC pickling) —
                     # supervision already retried; refold in-process and

@@ -40,7 +40,7 @@ def _distribution_hash(value: Any) -> int:
     """Stable hash used to assign a row to a segment.
 
     Python's builtin ``hash`` of strings is randomized per process which would
-    make segment assignment (and therefore simulated parallel timings)
+    make segment assignment (and therefore per-segment timings)
     non-deterministic across runs, so we use a small FNV-1a implementation.
     """
     data = repr(hashable_key(value)).encode("utf-8")

@@ -1,7 +1,7 @@
 """Batched aggregate transition kernels for the segmented execution path.
 
 The paper's measurement target is the user-defined-aggregate pattern itself
-(per-segment transition folds plus a merge tree); the interpreted engine adds
+(per-segment transition folds plus a merge tree); a row-at-a-time fold adds
 one Python call per row on top of it, which at laptop scale dominates the
 Figure 4/5 numbers.  A *batch transition* consumes one segment's argument
 values as whole columns in a single call — NumPy reductions or C-speed

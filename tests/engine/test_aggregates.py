@@ -88,8 +88,8 @@ class TestSegmentedAggregator:
         assert value == pytest.approx(sum(i * 50.0 for i in range(4)))
         assert timings.num_segments == 4
         assert timings.rows_per_segment == [50, 50, 50, 50]
-        assert timings.serial_seconds >= timings.simulated_parallel_seconds
-        assert timings.speedup >= 1.0
+        slowest = max(timings.per_segment_seconds)
+        assert timings.serial_seconds >= slowest + timings.merge_seconds + timings.final_seconds
 
     def test_unmergeable_aggregate_folds_one_fused_stream(self):
         definition = AggregateDefinition("sum_no_merge", lambda state, x: state + x, initial_state=0.0)

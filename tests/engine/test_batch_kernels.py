@@ -32,6 +32,7 @@ from repro.methods import kmeans, logistic_regression, naive_bayes, quantiles, s
 from repro.methods.sketches import countmin, fm
 from repro.methods.sketches.countmin import CountMinSketch
 from repro.methods.sketches.fm import FMSketch
+from reference_tier import reference_database
 
 
 def _definitions():
@@ -229,8 +230,8 @@ def test_sketches_are_byte_identical():
 def _points_pair(rows: int):
     points, _, _ = make_blobs(max(rows, 1), 3, 3, seed=23)
     pair = []
-    for compiled in (True, False):
-        database = Database(num_segments=3, compiled_execution=compiled)
+    for make in (Database, reference_database):
+        database = make(num_segments=3)
         load_points_table(database, "pts", points[:rows])
         kmeans.install_kmeans(database)
         pair.append(database)
@@ -250,7 +251,7 @@ def _assert_pair_agrees(batch_db, row_db, expect_tier="batch"):
         assert got.stats.aggregate_timings[0].fold_tier == expect_tier
         timings = want.stats.aggregate_timings[0]
         assert (timings.fold_tier, timings.fold_decline_reason) == (
-            "rows", "compiled_execution=False",
+            "rows", "use_batch=False",
         )
 
 
@@ -461,7 +462,7 @@ def test_every_kernel_ships_to_the_pool(pool_pair):
     for name in ("logregr_irls_step", "svm_igd_epoch", "igd_epoch", "quantile_reservoir",
                  "kmeans_step", "kmeans_reassigned", "fmsketch", "cmsketch"):
         definition = pool_db.catalog.get_aggregate(name)
-        spec = shippable_spec(definition, True)
+        spec = shippable_spec(definition)
         assert spec is not None, name
         assert spec[3] is definition.batch_transition or spec[3] == definition.batch_transition
 

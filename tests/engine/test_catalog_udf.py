@@ -99,7 +99,7 @@ class TestExecutionStats:
         assert len(timings) == 1
         assert timings[0].num_segments == 6
         assert sum(timings[0].rows_per_segment) == 600
-        assert result.stats.simulated_parallel_seconds <= result.stats.total_seconds + 1e-6
+        assert timings[0].serial_seconds <= result.stats.total_seconds + 1e-6
 
     def test_single_segment_database_folds_one_stream(self):
         db = Database(num_segments=1)

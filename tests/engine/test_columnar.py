@@ -4,7 +4,7 @@ Typed packed columns (:mod:`repro.engine.columnar`) are the only storage.
 The compiled tier runs supported WHERE clauses as selection bitmaps over the
 packed columns (``ExecutionStats.where_vectorized``), groups and ranks on
 the columns, and reads single rows without building a segment's row view;
-the reference tier (``compiled_execution=False``) reads every row through
+the reference tier (``tests/reference_tier.py``) reads every row through
 the row view and evaluates per row.  The two must be observationally
 identical — byte-identical query results, identical DML effects, identical
 errors.  This suite runs a query corpus and a mirrored DML script through
@@ -24,6 +24,7 @@ import pytest
 
 from repro import Database
 from repro.engine.columnar import ColumnStore
+from reference_tier import reference_database
 
 
 def _seed_rows(count: int = 120, seed: int = 7):
@@ -39,8 +40,8 @@ def _seed_rows(count: int = 120, seed: int = 7):
     return rows
 
 
-def _make_db(compiled: bool, rows) -> Database:
-    db = Database(num_segments=4, compiled_execution=compiled)
+def _make_db(make, rows) -> Database:
+    db = make(num_segments=4)
     db.create_table(
         "t",
         [
@@ -59,7 +60,7 @@ def _make_db(compiled: bool, rows) -> Database:
 
 def _make_pair(rows):
     """Two databases with identical contents: compiled tier, reference tier."""
-    return _make_db(True, rows), _make_db(False, rows)
+    return _make_db(Database, rows), _make_db(reference_database, rows)
 
 
 @pytest.fixture(scope="module")

@@ -22,6 +22,7 @@ from repro import Database
 from repro.engine.columnar import ColumnStore, DictColumn
 from repro.engine.schema import Schema
 from repro.engine.vectorized import _pack_column, _unpack_column
+from reference_tier import reference_database
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +191,8 @@ def test_column_store_keep_positions_remaps_dictionary_codes():
 # ---------------------------------------------------------------------------
 
 
-def _make_db(**kwargs):
-    db = Database(num_segments=3, **kwargs)
+def _make_db(make=Database):
+    db = make(num_segments=3)
     db.create_table(
         "t", [("id", "integer"), ("s", "text")], distributed_by="id"
     )
@@ -225,7 +226,7 @@ def test_demotion_mid_insert_is_observationally_invisible(monkeypatch):
 
 def test_create_index_and_delete_remap_compressed_positions():
     db = _make_db()
-    twin = _make_db(compiled_execution=False)
+    twin = _make_db(reference_database)
     rows = [(i, "abcd"[i % 4]) for i in range(1, 101)]
     for target in (db, twin):
         target.load_rows("t", rows)

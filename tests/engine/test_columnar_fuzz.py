@@ -2,8 +2,8 @@
 
 Every scenario builds two databases with identical contents — the default
 (bitmap WHERE, code-space lookup tables, columnar grouping, index probes,
-in-place bitmap DML over the packed columns) and a ``compiled_execution=False``
-twin (the row-at-a-time reference evaluator, none of those paths) — plus a
+in-place bitmap DML over the packed columns) and a reference-tier twin
+(``tests/reference_tier.py``: row at a time, none of those paths) — plus a
 model that shares no engine code: a ``dict`` from ``id`` to the row tuple.
 A randomized script of DML and queries runs against all of them:
 
@@ -39,6 +39,7 @@ import pytest
 from repro import Database
 from repro.engine import columnar
 from repro.errors import ReproError
+from reference_tier import reference_database
 
 
 SEEDS = list(range(25))
@@ -198,10 +199,10 @@ def _random_query(rng, picked, max_id):
 
 
 def _make_pair(num_segments, distributed_by, columns, rows):
-    """The default database and its ``compiled_execution=False`` twin."""
+    """The default database and its reference-tier twin."""
     databases = []
-    for compiled in (True, False):
-        db = Database(num_segments=num_segments, compiled_execution=compiled)
+    for make in (Database, reference_database):
+        db = make(num_segments=num_segments)
         db.create_table("t", columns, distributed_by=distributed_by)
         db.load_rows("t", rows)
         databases.append(db)

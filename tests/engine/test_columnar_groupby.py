@@ -3,7 +3,8 @@
 Three kinds of evidence that ``engine/grouping.py`` changes no answer:
 
 (a) a seeded parity fuzz — the columnar / partitioned paths against the
-    ``compiled_execution=False`` row loop, rows compared by ``repr`` (so
+    reference tier's row loop (``tests/reference_tier.py``), rows compared
+    by ``repr`` (so
     float bits, int-vs-float and group / tie order all count, and no NumPy
     scalar may leak into a result row);
 (b) a differential check against stdlib ``sqlite3`` on int/text data — the
@@ -26,6 +27,7 @@ import pytest
 
 from repro import Database
 from repro.engine import grouping
+from reference_tier import reference_database
 from repro.methods.linear_regression import install_linear_regression
 
 NAN = float("nan")
@@ -73,8 +75,8 @@ def _pair(seed: int, *, count=None, nan_keys=None, overflow=None):
         overflow=seed % 3 == 2 if overflow is None else overflow,
     )
     pair = []
-    for compiled in (True, False):
-        db = Database(num_segments=segments, compiled_execution=compiled)
+    for make in (Database, reference_database):
+        db = make(num_segments=segments)
         install_linear_regression(db)
         db.create_table("t", COLUMNS, distributed_by=distributed_by)
         db.load_rows("t", rows)
@@ -180,7 +182,7 @@ def test_strategies_and_decline_reasons():
         stats = fast.execute(sql).stats
         assert (stats.group_strategy, stats.group_decline_reason) == (strategy, reason), sql
     stats = oracle.execute("SELECT k, count(*) FROM t GROUP BY k").stats
-    assert (stats.group_strategy, stats.group_decline_reason) == ("rows", "compiled_execution is off")
+    assert (stats.group_strategy, stats.group_decline_reason) == ("rows", "reference tier")
 
 
 @pytest.mark.parametrize("segments", [1, 3])
@@ -189,8 +191,8 @@ def test_one_stream_per_group_aggregates_ride_the_kernel(segments):
     kernel's slices, not a row loop — on one segment and on several."""
     rows = _rows(random.Random(3), 120, nan_keys=False, overflow=False)
     pair = []
-    for compiled in (True, False):
-        db = Database(num_segments=segments, compiled_execution=compiled)
+    for make in (Database, reference_database):
+        db = make(num_segments=segments)
         db.create_aggregate("first_seen", transition=lambda state, v: v if state is None else state)
         db.create_table("t", COLUMNS)
         db.load_rows("t", rows)
@@ -288,7 +290,7 @@ def test_topk_ties_keep_row_order_and_nulls_follow_the_flag():
     db = Database(num_segments=2)
     db.create_table("s", [("id", "integer"), ("g", "double precision")])
     db.load_rows("s", [(i, [1.0, None, 1.0, 2.0, None, 1.0, 0.5][i % 7]) for i in range(21)])
-    oracle = Database(num_segments=2, compiled_execution=False)
+    oracle = reference_database(num_segments=2)
     oracle.create_table("s", [("id", "integer"), ("g", "double precision")])
     oracle.load_rows("s", [(i, [1.0, None, 1.0, 2.0, None, 1.0, 0.5][i % 7]) for i in range(21)])
     for order in ("g", "g DESC", "g NULLS FIRST", "g DESC NULLS FIRST", "g DESC NULLS LAST"):
@@ -298,9 +300,9 @@ def test_topk_ties_keep_row_order_and_nulls_follow_the_flag():
         assert repr(got.rows) == repr(oracle.execute(sql).rows), sql
 
 
-@pytest.mark.parametrize("compiled", [True, False])
-def test_order_by_nan_places_nan_with_the_nulls(compiled):
-    db = Database(num_segments=1, compiled_execution=compiled)  # scan order = id order
+@pytest.mark.parametrize("make", [Database, reference_database])
+def test_order_by_nan_places_nan_with_the_nulls(make):
+    db = make(num_segments=1)  # scan order = id order
     db.create_table("n", [("id", "integer"), ("g", "double precision")])
     db.load_rows("n", [(1, 0.0), (2, -0.0), (3, NAN), (4, None), (5, NAN), (6, 1.5)])
 

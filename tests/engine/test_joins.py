@@ -8,7 +8,7 @@ identical contents run the corpus:
 
 * ``hash`` — compiled execution (the default): hash joins where the planner
   can prove them safe, the nested loop elsewhere,
-* ``interpreted`` — ``compiled_execution=False``, the reference tier: every
+* ``interpreted`` — the reference tier (``tests/reference_tier.py``): every
   join runs the nested loop (the baseline),
 * ``parallel`` — the same with a forced worker pool
   (``min_dispatch_rows = 0``) attached: joins run in-process either way (the
@@ -28,6 +28,7 @@ from repro import Database
 from repro.engine.join import split_conjuncts, conjoin
 from repro.engine.parser import parse_statement
 from repro.errors import ExecutionError
+from reference_tier import reference_database
 
 from test_compiled_parity import _assert_results_equal
 
@@ -98,8 +99,8 @@ def _load_join_tables(db: Database) -> Database:
     return db
 
 
-def _make_db(**kwargs) -> Database:
-    return _load_join_tables(Database(num_segments=4, **kwargs))
+def _make_db(make=Database, **kwargs) -> Database:
+    return _load_join_tables(make(num_segments=4, **kwargs))
 
 
 def _make_sqlite() -> sqlite3.Connection:
@@ -116,7 +117,7 @@ def _make_sqlite() -> sqlite3.Connection:
 @pytest.fixture(scope="module")
 def tiers():
     hash_db = _make_db()
-    interpreted_db = _make_db(compiled_execution=False)
+    interpreted_db = _make_db(reference_database)
     parallel_db = _make_db(parallel=2)
     parallel_db.worker_pool.min_dispatch_rows = 0
     yield {
@@ -333,8 +334,8 @@ class TestDMLCompiledPath:
     @pytest.fixture()
     def dml_pair(self):
         pair = []
-        for compiled in (True, False):
-            db = Database(num_segments=4, compiled_execution=compiled)
+        for make in (Database, reference_database):
+            db = make(num_segments=4)
             db.create_table(
                 "u", [("id", "integer"), ("v", "double precision")], distributed_by="id"
             )

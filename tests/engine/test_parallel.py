@@ -1,8 +1,8 @@
 """Real parallel segment execution: worker-pool tier parity and lifecycle.
 
-The third execution tier (``Database(parallel=N)``, ``repro.engine.parallel``)
-must be observationally identical to both in-process tiers: same results for
-the whole compiled-parity corpus, same queries succeeding, with non-picklable
+The worker pool (``Database(parallel=N)``, ``repro.engine.parallel``) must
+be observationally identical to in-process execution: same results for the
+whole compiled-parity corpus, same queries succeeding, with non-picklable
 user-defined aggregates transparently falling back to the in-process fold.
 These tests force the pool on (``min_dispatch_rows = 0``) so even the small
 test tables actually cross the process boundary.
@@ -74,8 +74,8 @@ def test_stats_record_measured_parallel_execution(parallel_pair):
     assert len(timings.per_segment_seconds) == 4  # worker-measured fold times
     assert stats.executed_parallel
     assert stats.measured_parallel_seconds is not None
-    # The simulated quantity is still computed — and clearly distinct.
-    assert stats.simulated_parallel_seconds >= 0.0
+    # The summed fold time is reported beside the measured wall clock.
+    assert timings.serial_seconds >= sum(timings.per_segment_seconds) > 0.0
 
 
 def test_serial_database_never_reports_measured_parallelism(parallel_pair):
@@ -105,8 +105,8 @@ def test_module_level_uda_ships_to_workers(parallel_pair):
     from repro.methods import linear_regression
 
     definition = linear_regression.make_linregr_aggregate()
-    assert shippable_spec(definition, True) is not None
-    assert shippable_spec(definition, True)[0] == "funcs"
+    assert shippable_spec(definition) is not None
+    assert shippable_spec(definition)[0] == "funcs"
 
 
 def test_linregr_parity_under_real_parallelism():
@@ -134,7 +134,7 @@ def test_builtin_specs_travel_by_name(parallel_pair):
     parallel_db, _ = parallel_pair
     for name in ("count", "sum", "min", "max", "bool_and", "string_agg"):
         definition = parallel_db.catalog.get_aggregate(name)
-        spec = shippable_spec(definition, True)
+        spec = shippable_spec(definition)
         assert spec == ("builtin", name)
         pickle.dumps(spec)  # must always cross the wire
 
@@ -364,7 +364,7 @@ def test_unpicklable_transition_answers_in_process(kind):
     definition = AggregateDefinition(
         f"sum_{kind}", transition, merge=operator.add, initial_state=0.0
     )
-    assert shippable_spec(definition, True) is None
+    assert shippable_spec(definition) is None
     db = _force_pool(Database(num_segments=4, parallel=2))
     db.catalog.register_aggregate(definition)
     db.create_table("v", [("x", "double precision")])
@@ -382,7 +382,7 @@ def test_unpicklable_batch_kernel_alone_ships_the_row_fold(kind):
     definition = AggregateDefinition(
         "sum_rows", operator.add, merge=operator.add, initial_state=0.0, batch_transition=batch
     )
-    spec = shippable_spec(definition, True)
+    spec = shippable_spec(definition)
     assert spec is not None and spec[0] == "funcs"
     assert spec[3] is None  # the worker folds row at a time
     pickle.dumps(spec)
@@ -418,47 +418,30 @@ def _load_fact_dim(db: Database) -> Database:
 
 @pytest.fixture(scope="module")
 def pool_twins():
-    """``{tier: (database with a forced pool, pool-less twin)}``, same rows."""
-    twins = {}
-    for tier, compiled in (("compiled", True), ("reference", False)):
-        pooled = Database(num_segments=4, parallel=2, compiled_execution=compiled)
-        twin = Database(num_segments=4, compiled_execution=compiled)
-        twins[tier] = (_load_fact_dim(_force_pool(pooled)), _load_fact_dim(twin))
-    yield twins
-    for pooled, _ in twins.values():
-        pooled.close()
+    """``(database with a forced pool, pool-less twin)``, same rows."""
+    pooled = _load_fact_dim(_force_pool(Database(num_segments=4, parallel=2)))
+    yield pooled, _load_fact_dim(Database(num_segments=4))
+    pooled.close()
 
 
 POOL_FREE_SHAPES = {
-    "low_cardinality_group_by": (
-        "compiled", "SELECT cat, count(*), sum(v) FROM fact GROUP BY cat ORDER BY cat"
-    ),
-    "high_cardinality_group_by": (
-        "compiled", "SELECT id, sum(v), max(q) FROM fact GROUP BY id ORDER BY id"
-    ),
-    "expression_key": (
-        "compiled", "SELECT q % 7, count(*), avg(v) FROM fact GROUP BY q % 7 ORDER BY 1"
-    ),
-    "distinct_grouped_call": (
-        "compiled", "SELECT cat, count(DISTINCT q) FROM fact GROUP BY cat ORDER BY cat"
-    ),
-    "reference_tier_group_by": (
-        "reference", "SELECT cat, count(*), sum(v) FROM fact GROUP BY cat ORDER BY cat"
-    ),
-    "colocated_join": ("compiled", "SELECT f.id, d.label FROM fact f JOIN dim d ON f.k = d.k"),
-    "broadcast_join": ("compiled", "SELECT f.id, d.label FROM fact f JOIN dim d ON f.q = d.k"),
+    "low_cardinality_group_by": "SELECT cat, count(*), sum(v) FROM fact GROUP BY cat ORDER BY cat",
+    "high_cardinality_group_by": "SELECT id, sum(v), max(q) FROM fact GROUP BY id ORDER BY id",
+    "expression_key": "SELECT q % 7, count(*), avg(v) FROM fact GROUP BY q % 7 ORDER BY 1",
+    "distinct_grouped_call": "SELECT cat, count(DISTINCT q) FROM fact GROUP BY cat ORDER BY cat",
+    "colocated_join": "SELECT f.id, d.label FROM fact f JOIN dim d ON f.k = d.k",
+    "broadcast_join": "SELECT f.id, d.label FROM fact f JOIN dim d ON f.q = d.k",
     "join_then_group_by": (
-        "compiled",
         "SELECT d.label, count(*), sum(f.v) FROM fact f JOIN dim d ON f.k = d.k "
-        "GROUP BY d.label ORDER BY d.label",
+        "GROUP BY d.label ORDER BY d.label"
     ),
 }
 
 
 @pytest.mark.parametrize("shape", list(POOL_FREE_SHAPES))
 def test_attaching_a_pool_changes_no_grouped_or_join_path(pool_twins, shape):
-    tier, sql = POOL_FREE_SHAPES[shape]
-    pooled, twin = pool_twins[tier]
+    sql = POOL_FREE_SHAPES[shape]
+    pooled, twin = pool_twins
     before = pooled.worker_pool.stats()["dispatches"]
     got, want = pooled.execute(sql), twin.execute(sql)
     assert pooled.worker_pool.stats()["dispatches"] == before
@@ -469,7 +452,7 @@ def test_attaching_a_pool_changes_no_grouped_or_join_path(pool_twins, shape):
 
 
 def test_ungrouped_aggregate_still_dispatches_beside_them(pool_twins):
-    pooled, twin = pool_twins["compiled"]
+    pooled, twin = pool_twins
     before = pooled.worker_pool.stats()["dispatches"]
     got = pooled.execute("SELECT sum(v), count(*) FROM fact")
     assert pooled.worker_pool.stats()["dispatches"] == before + 2  # one per aggregate

@@ -13,6 +13,7 @@ import pytest
 
 from repro import Database
 
+from reference_tier import reference_database
 from test_compiled_parity import _assert_results_equal
 
 
@@ -50,11 +51,11 @@ def _force_pool(db: Database) -> Database:
 
 @pytest.fixture(scope="module")
 def tiers():
-    """(parallel, compiled-serial, interpreted-serial) databases, same data."""
+    """(parallel, compiled-serial, reference-tier) databases, same data."""
     databases = [
         _force_pool(Database(num_segments=4, parallel=2)),
         Database(num_segments=4),
-        Database(num_segments=4, compiled_execution=False),
+        reference_database(num_segments=4),
     ]
     for db in databases:
         _populate(db)
@@ -116,9 +117,9 @@ def test_grouped_statement_never_dispatches(tiers):
     assert stats.measured_parallel_seconds is None
 
 
-def test_grouped_statements_report_simulated_parallel_seconds(tiers):
-    # The satellite fix: grouped statements used to contribute nothing to
-    # aggregate_timings, so simulated vs measured numbers were incomparable.
+def test_grouped_statements_report_serial_seconds(tiers):
+    # Grouped statements used to contribute nothing to aggregate_timings, so
+    # their fold time went unreported.
     _, compiled_db, _ = tiers
     stats = compiled_db.execute("SELECT grp, count(*), sum(a) FROM g GROUP BY grp").stats
     assert len(stats.aggregate_timings) == 2
@@ -126,7 +127,8 @@ def test_grouped_statements_report_simulated_parallel_seconds(tiers):
         assert not timings.executed_parallel
         assert timings.num_groups == 4
         assert sum(timings.rows_per_segment) > 0
-    assert 0.0 <= stats.simulated_parallel_seconds <= stats.total_seconds + 1e-6
+    serial = sum(timings.serial_seconds for timings in stats.aggregate_timings)
+    assert 0.0 < serial <= stats.total_seconds + 1e-6
 
 
 def test_ungrouped_aggregates_keep_num_groups_zero(tiers):

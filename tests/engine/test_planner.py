@@ -24,6 +24,7 @@ from repro.engine.parser.ast_nodes import (
     SelectStatement,
 )
 from repro.engine.planner import collect_table_statistics
+from reference_tier import reference_database
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +165,6 @@ class TestStatistics:
         db.execute("CREATE TABLE other (x integer)")
         assert db.execute("ANALYZE").rowcount == 2
         assert db.catalog.get_statistics("other") is not None
-
-    def test_auto_analyze_refreshes_on_drift(self):
-        db = Database(auto_analyze=True)
-        db.execute("CREATE TABLE a (id integer, k integer)")
-        db.load_rows("a", [(i, i % 5) for i in range(500)])
-        db.execute("CREATE INDEX a_k ON a USING hash (k)")
-        db.execute("SELECT * FROM a WHERE k = 1")  # plans → analyzes
-        first = db.catalog.get_statistics("a")
-        assert first is not None and first.row_count == 500
-        db.load_rows("a", [(1000 + i, i % 5) for i in range(500)])  # > 20% drift
-        db.execute("SELECT * FROM a WHERE k = 1")
-        assert db.catalog.get_statistics("a").row_count == 1000
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +358,8 @@ def test_parity_under_dml():
 
 
 class TestJoinCosting:
-    def _join_db(self, *, compiled=True):
-        db = Database(num_segments=4, compiled_execution=compiled)
+    def _join_db(self, make=Database):
+        db = make(num_segments=4)
         db.execute("CREATE TABLE small (k integer, name text)")
         db.load_rows("small", [(i, f"n{i}") for i in range(10)])
         db.execute("CREATE TABLE big (id integer, k integer)")
@@ -385,7 +374,7 @@ class TestJoinCosting:
         )
         result = db.execute(query)
         assert db.last_stats.join_strategy == "hash_reversed"
-        nested = self._join_db(compiled=False)
+        nested = self._join_db(reference_database)
         assert result.rows == nested.execute(query).rows
 
     def test_reversed_left_join_parity(self):
@@ -394,7 +383,7 @@ class TestJoinCosting:
         query = "SELECT s.k, s.name, b.id FROM small s LEFT JOIN big b ON s.k = b.k"
         result = db.execute(query)
         assert db.last_stats.join_strategy == "hash_reversed"
-        nested = self._join_db(compiled=False)
+        nested = self._join_db(reference_database)
         nested.execute("INSERT INTO small VALUES (999, 'unmatched')")
         assert result.rows == nested.execute(query).rows
 

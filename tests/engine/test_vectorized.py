@@ -21,6 +21,7 @@ from repro.engine.vectorized import (
     builtin_batch_transitions,
     strict_filter_columns,
 )
+from reference_tier import reference_database
 
 
 def get_builtin(name: str) -> AggregateDefinition:
@@ -102,8 +103,8 @@ class TestBatchKernels:
 
     def test_numpy_nan_from_udf_agrees_across_tiers(self):
         results = []
-        for compiled in (True, False):
-            db = Database(num_segments=2, compiled_execution=compiled)
+        for make in (Database, reference_database):
+            db = make(num_segments=2)
             db.create_table("t", [("id", "integer"), ("a", "double precision")])
             db.load_rows("t", [(1, 1.0), (2, 2.0), (3, 0.0)])
             db.create_function(
@@ -174,8 +175,8 @@ class TestOrderSensitiveAggregatesBypass:
 
     def test_string_agg_matches_interpreted_tier(self):
         results = []
-        for compiled in (True, False):
-            db = Database(num_segments=3, compiled_execution=compiled)
+        for make in (Database, reference_database):
+            db = make(num_segments=3)
             db.create_table("ev", [("id", "integer"), ("tag", "text")], distributed_by="id")
             db.load_rows("ev", [(i, f"t{i}") for i in range(1, 10)])
             results.append(db.query_scalar("SELECT string_agg(tag, '|') FROM ev"))

@@ -5,7 +5,7 @@ through the cache (including the indexed point-lookup fast path) must return
 byte-identical columns and rows to a twin database with no cache at all.
 This suite fuzzes ~200 randomized queries across both, then checks the
 invalidation triggers one by one — DDL (catalog version), ANALYZE, and DML
-drift past the auto-analyze threshold — plus the normalization subtleties
+drift past the replan threshold — plus the normalization subtleties
 (LIMIT/ordinal literals stay unparameterized; synthetic parameter names are
 reserved).
 """

@@ -6,7 +6,7 @@ text column demotes from dictionary to plain object storage mid-session
 (cardinality blowout), cached plans and prepared handles must keep
 returning correct results: the vectorized text path silently declines
 (``where_vectorized`` flips to False) and, once the demoting INSERT drifts
-past the auto-analyze threshold, the entry is invalidated and replanned.
+past the plan cache's replan threshold, the entry is invalidated and replanned.
 """
 
 from __future__ import annotations
