@@ -12,7 +12,7 @@ library's installation SQL scripts.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..errors import CatalogError
 from .aggregates import AggregateDefinition
@@ -221,9 +221,6 @@ class Catalog:
 
     # -- secondary indexes ---------------------------------------------------
 
-    def has_index(self, name: str) -> bool:
-        return name.lower() in self._indexes
-
     def create_index(
         self,
         name: str,
@@ -283,9 +280,6 @@ class Catalog:
             if table is None or index.table_name.lower() == table.lower()
         ]
         return sorted(rows, key=lambda row: (row["tablename"], row["indexname"]))
-
-    def index_names(self) -> List[str]:
-        return sorted(index.name for index in self._indexes.values())
 
     # -- planner statistics --------------------------------------------------
 

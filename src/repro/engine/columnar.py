@@ -732,12 +732,14 @@ def gather_positions(column: Sequence[Any], positions: np.ndarray) -> List[Any]:
 
 
 class SelectedRows(Sequence):
-    """Lazy row view of a bitmap-selected scan (late row materialization).
+    """Lazy row view of a table scan (late row materialization): the rows a
+    bitmap WHERE selected, or every stored row of a WHERE-less scan.
 
     Holds per-segment ``(store, selected positions)`` pairs; ``len`` is known
-    up front, but row tuples are only built on first row access.  Aggregate
+    up front, but row tuples are only built on first row access, and then
+    only at the selected positions (:meth:`ColumnStore.rows_at`).  Aggregate
     queries that stay on the columnar stream path therefore never materialize
-    a single row tuple for the rows the WHERE clause selected.
+    a single row tuple.
     """
 
     __slots__ = ("_parts", "_length", "_rows")
@@ -751,10 +753,8 @@ class SelectedRows(Sequence):
         if self._rows is None:
             rows: List[Tuple[Any, ...]] = []
             for store, positions in self._parts:
-                if not len(positions):
-                    continue
-                view = store.rows_view()
-                rows.extend(view[p] for p in positions)
+                if len(positions):
+                    rows.extend(store.rows_at(positions))
             self._rows = rows
         return self._rows
 
@@ -766,3 +766,9 @@ class SelectedRows(Sequence):
 
     def __iter__(self) -> Iterator[Tuple[Any, ...]]:
         return iter(self._materialize())
+
+
+def materialized(rows: Sequence[Tuple[Any, ...]]) -> Sequence[Tuple[Any, ...]]:
+    """``rows`` with every tuple built: a :class:`SelectedRows` materializes
+    once, so a loop indexing the result pays no per-row method call."""
+    return rows._materialize() if isinstance(rows, SelectedRows) else rows

@@ -7,9 +7,10 @@ transition folds followed by a merge — which is the Greenplum execution model
 the Figure 4 / Figure 5 experiments measure.  Joins have their own execution
 layer (:mod:`repro.engine.join`): inner/left equi-joins — and implicit
 multi-table FROM lists whose WHERE clause contains cross-source equality
-conjuncts — run as compiled build/probe hash joins with single-side conjuncts
-pushed below the join, falling back to a nested loop over the compiled ON
-condition for anything the planner cannot prove safe.  Everything else
+conjuncts — run as compiled build/probe hash joins, with single-side WHERE
+conjuncts pushed into each side's scan (index probe or bitmap WHERE), falling
+back to a nested loop over the compiled ON condition for anything the planner
+cannot prove safe.  Everything else
 (subqueries, window functions, DML) exists so that MADlib-style methods can be
 written as plain SQL plus driver functions, exactly as in the paper.
 
@@ -39,7 +40,7 @@ calls too.  There is one execution tier, which a worker pool can widen (see
 The parity suites hold this executor to a row-at-a-time reference executor
 kept under ``tests/`` (``tests/reference_tier.py``), which overrides
 :meth:`_compile` with a tree-walking evaluator and declines every fast path
-this class chooses (:meth:`_hash_join_plan`, :meth:`_plan_multi_from`,
+this class chooses (:meth:`_hash_join_plan`, :meth:`_push_where`,
 :meth:`_choose_single_table_path`, :meth:`_vectorized_single_table`,
 :meth:`_match_masks`, :meth:`_grouped_results`).
 """
@@ -48,15 +49,15 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import CatalogError, ExecutionError, SQLSyntaxError
+from ..errors import CatalogError, ExecutionError
 from .aggregates import AggregateDefinition
-from .columnar import SelectedRows
+from .columnar import SelectedRows, materialized
 from .compile import (
     ColumnLayout,
     RowFunction,
@@ -67,13 +68,15 @@ from .compile import (
 )
 from .grouping import columnar_top_k, output_position, partitioned_grouped
 from .join import (
+    HashJoinPlan,
     JoinEstimates,
-    apply_prefilter,
     classify_where_conjuncts,
     conjoin,
     execute_hash_join,
+    has_volatile_calls,
     plan_hash_join,
     plan_key_join,
+    split_conjuncts,
 )
 from .planner import choose_access_path, collect_table_statistics, explain_statement
 from .vectorized import ColumnBatch
@@ -120,7 +123,9 @@ class _Relation:
     """An intermediate result: named columns, row tuples, segment provenance."""
 
     columns: List[Tuple[Optional[str], str]]  # (source alias, column name)
-    rows: List[Tuple[Any, ...]]
+    #: A table scan's rows are a lazy :class:`SelectedRows`: a loop that
+    #: indexes them binds :func:`materialized` first.
+    rows: Sequence[Tuple[Any, ...]]
     segment_ids: List[int]
     num_segments: int = 1
     #: Set only for a single-table scan whose rows map 1:1 onto stored
@@ -143,6 +148,18 @@ class _Relation:
     def context_keys(self) -> List[List[str]]:
         """For each column, the row-dict keys it populates."""
         return keys_for_columns(self.columns)
+
+
+class _Pushdown(NamedTuple):
+    """How a WHERE clause runs over a join's sources, decided before any scan
+    (:meth:`Executor._push_where`; EXPLAIN shows the same decision)."""
+
+    #: Per source, the conjuncts it is scanned under (``None``: a plain scan).
+    sides: List[Optional[Expression]]
+    #: Per comma-list join step, its hash-key plan (``None``: a cross step).
+    steps: List[Optional[HashJoinPlan]]
+    #: What stays above the join, evaluated per joined row.
+    residual: Optional[Expression]
 
 
 class _CompileEnv(NamedTuple):
@@ -311,36 +328,47 @@ class Executor:
         alias = ref.effective_alias
         return [(alias, name) for name in table.schema.names]
 
+    def _row_estimate(self, table: Table) -> float:
+        """A scan's planner row count: the ANALYZE snapshot while fresh."""
+        statistics = self.catalog.get_statistics(table.name)
+        if statistics is not None and not statistics.is_stale(table):
+            return float(statistics.row_count)
+        return float(len(table))
+
+    def _stored_relation(self, ref: TableRef, table: Table, selections=None) -> _Relation:
+        """A lazy relation over ``table``'s stored rows (:class:`SelectedRows`):
+        at ``selections`` (one ascending position array per segment), or at
+        every position when ``None``."""
+        parts: List[Tuple[Any, Any]] = []
+        segment_ids: List[int] = []
+        for segment in range(table.num_segments):
+            store = table.column_store(segment)
+            positions = np.arange(len(store)) if selections is None else selections[segment]
+            parts.append((store, positions))
+            segment_ids.extend([segment] * len(positions))
+        return _Relation(
+            self._table_columns(ref, table),
+            SelectedRows(parts),
+            segment_ids,
+            table.num_segments,
+            source_table=table,
+            segment_selections=selections,
+        )
+
     def _scan_table(self, ref: TableRef, stats: Optional[ExecutionStats] = None) -> _Relation:
         if not self.catalog.has_table(ref.name) and self.catalog.has_matview(ref.name):
             return self._scan_matview(ref, stats)
         table = self.catalog.get_table(ref.name)
-        columns = self._table_columns(ref, table)
-        rows: List[Tuple[Any, ...]] = []
-        segment_ids: List[int] = []
-        for segment in range(table.num_segments):
-            segment_rows = table.segment_view(segment)
-            rows.extend(segment_rows)
-            segment_ids.extend([segment] * len(segment_rows))
-        statistics = self.catalog.get_statistics(table.name)
-        estimated = (
-            float(statistics.row_count)
-            if statistics is not None and not statistics.is_stale(table)
-            else float(len(rows))
-        )
+        relation = self._stored_relation(ref, table)
+        relation.estimated_rows = self._row_estimate(table)
         if stats is not None:
-            stats.rows_scanned_per_source.append(len(rows))
+            stats.rows_scanned_per_source.append(len(relation.rows))
             stats.scan_details.append(
-                ScanDetail(table.name, "seq", len(rows), estimated_rows=estimated)
+                ScanDetail(
+                    table.name, "seq", len(relation.rows), estimated_rows=relation.estimated_rows
+                )
             )
-        return _Relation(
-            columns,
-            rows,
-            segment_ids,
-            table.num_segments,
-            source_table=table,
-            estimated_rows=estimated,
-        )
+        return relation
 
     def _scan_matview(self, ref: TableRef, stats: Optional[ExecutionStats] = None) -> _Relation:
         """Read a materialized view like a table: freshen if stale, finalize."""
@@ -401,30 +429,173 @@ class Executor:
                     ScanDetail(item.name, "function", len(relation.rows))
                 )
             return relation
-        if isinstance(item, Join):
-            return self._execute_join(item, parameters, stats)
         raise ExecutionError(f"unsupported FROM item {type(item).__name__}")
+
+    def _scan_filtered(
+        self, item, where: Optional[Expression], parameters, stats: ExecutionStats
+    ) -> Tuple[_Relation, Optional[Expression]]:
+        """Scan one FROM item under ``where``; ``(relation, residual WHERE)``.
+
+        The one access path for a statement's only source and for every join
+        side alike: a base table takes an index probe
+        (:meth:`_choose_single_table_path`), else the bitmap WHERE over its
+        packed columns, else a scan whose rows the caller filters by the
+        residual (:meth:`_filter`); a join pushes ``where`` on into its sides.
+        """
+        if isinstance(item, Join):
+            return self._execute_join(item, where, parameters, stats)
+        if where is not None and isinstance(item, TableRef) and self.catalog.has_table(item.name):
+            chosen = self._choose_single_table_path(item, where, parameters)
+            indexed = self._execute_index_scan(chosen, stats) if chosen is not None else None
+            if indexed is not None:
+                return indexed
+            vectorized = self._vectorized_single_table(item, where, parameters, stats)
+            if vectorized is not None:
+                return vectorized, None
+        return self._scan_from_item(item, parameters, stats), where
+
+    def _filter(self, relation: _Relation, where: Optional[Expression], parameters) -> _Relation:
+        """The rows of ``relation`` for which ``where`` is TRUE, row by row."""
+        if where is None:
+            return relation
+        predicate = self._compile(where, self._compiler_env(relation.columns, parameters))
+        rows, segment_ids = materialized(relation.rows), relation.segment_ids
+        kept = [i for i, row in enumerate(rows) if predicate(row) is True]
+        return _Relation(
+            relation.columns,
+            [rows[i] for i in kept],
+            [segment_ids[i] for i in kept],
+            relation.num_segments,
+        )
+
+    def _side(self, item, where: Optional[Expression], parameters, stats) -> _Relation:
+        """One join input: ``item`` scanned and filtered under the WHERE
+        conjuncts pushed to it, every row tuple built once."""
+        relation = self._filter(*self._scan_filtered(item, where, parameters, stats), parameters)
+        relation.rows = materialized(relation.rows)
+        return relation
+
+    def _static_columns(self, item) -> Optional[List[Tuple[Optional[str], str]]]:
+        """The ``(alias, name)`` columns scanning ``item`` yields, known before
+        it runs; ``None`` when only running it can tell (or raise)."""
+        if isinstance(item, TableRef):
+            if self.catalog.has_table(item.name):
+                return self._table_columns(item, self.catalog.get_table(item.name))
+            if self.catalog.has_matview(item.name):
+                names = self.catalog.get_matview(item.name).columns
+                return None if names is None else [(item.effective_alias, name) for name in names]
+            return None
+        if isinstance(item, Join):
+            left, right = self._static_columns(item.left), self._static_columns(item.right)
+            return None if left is None or right is None else left + right
+        if isinstance(item, FunctionSource):
+            return [(item.alias, item.column_names[0] if item.column_names else item.name)]
+        if isinstance(item, SubquerySource) and isinstance(item.select, SelectStatement):
+            inner = [self._static_columns(source) for source in item.select.from_items]
+            if None in inner:
+                return None
+            try:
+                items = self._expand_select_items(
+                    item.select.select_items, [column for columns in inner for column in columns]
+                )
+            except ExecutionError:
+                return None
+            return [(item.alias, self._output_name(one, i)) for i, one in enumerate(items)]
+        return None
+
+    def _push_where(
+        self, items: List[object], where: Optional[Expression], parameters, join=None
+    ) -> Optional[_Pushdown]:
+        """Split ``where`` over a comma list's ``items`` or ``join``'s two
+        sides, or ``None``: every conjunct stays above the join.
+
+        Decided from the sources' static columns before any scan, and EXPLAIN
+        asks the same question, so the plan it shows is the plan that runs.
+        A conjunct that reads one source only is pushed into that source's
+        scan (:meth:`_scan_filtered`): any comma-list source, either side of
+        an inner or cross join, but only the preserved side of a LEFT JOIN —
+        the WHERE must still see the other side's NULL-extended rows.  A
+        comma list's equality edges become hash-key steps.  Nothing is pushed
+        when the WHERE or the join's ON calls a volatile function (fewer rows
+        or pairs would change how often it draws), a name does not resolve,
+        or a pushed conjunct or key does not compile: product-then-filter
+        then evaluates it, and raises its error, where it always did.
+        """
+        if where is None:
+            return None
+        columns = [self._static_columns(item) for item in items]
+        if None in columns:
+            return None
+        functions = self._function_registry()
+        if join is not None and join.condition is not None:
+            if has_volatile_calls(join.condition, functions):
+                return None
+        source_of = [source for source, names in enumerate(columns) for _ in names]
+        classified = classify_where_conjuncts(
+            where,
+            ColumnLayout.for_columns([column for names in columns for column in names]),
+            source_of,
+            functions,
+        )
+        if classified is None:
+            return None
+        prefilters, edges, residual = classified
+        if join is not None:  # the ON clause joins; the WHERE only filters
+            if join.kind == "left":
+                prefilters.pop(1, None)
+            pushed = {id(conjunct) for conjuncts in prefilters.values() for conjunct in conjuncts}
+            if not pushed:
+                return None
+            residual = [c for c in split_conjuncts(where) if id(c) not in pushed]
+            edges = []
+        sides = [conjoin(prefilters.get(source, [])) for source in range(len(items))]
+        for side, names in zip(sides, columns):
+            if side is not None and compile_expression(
+                side, ColumnLayout.for_columns(names), functions, parameters
+            ) is None:
+                return None
+        steps: List[Optional[HashJoinPlan]] = []
+        for position in range(1, len(items)):
+            # Every edge is usable at the step that joins its later source.
+            step_left: List[Expression] = []
+            step_right: List[Expression] = []
+            for source_a, expr_a, source_b, expr_b in edges:
+                if max(source_a, source_b) == position:
+                    step_left.append(expr_b if source_a == position else expr_a)
+                    step_right.append(expr_a if source_a == position else expr_b)
+            plan = None
+            if step_left:
+                left_columns = [column for names in columns[:position] for column in names]
+                plan = plan_key_join(
+                    left_columns, columns[position], step_left, step_right, functions, parameters
+                )
+                if plan is None:
+                    return None
+            steps.append(plan)
+        return _Pushdown(sides, steps, conjoin(residual))
 
     def _combine(self, left: _Relation, right: _Relation, pairs: List[Tuple[int, Optional[int]]]) -> _Relation:
         """Build a relation from (left_row_index, right_row_index-or-None) pairs."""
-        columns = left.columns + right.columns
-        right_width = len(right.columns)
-        rows: List[Tuple[Any, ...]] = []
-        segment_ids: List[int] = []
-        for left_index, right_index in pairs:
-            right_row = right.rows[right_index] if right_index is not None else (None,) * right_width
-            rows.append(left.rows[left_index] + right_row)
-            segment_ids.append(left.segment_ids[left_index])
-        num_segments = left.num_segments
-        return _Relation(columns, rows, segment_ids, num_segments)
+        left_rows, right_rows = materialized(left.rows), materialized(right.rows)
+        left_segments = left.segment_ids
+        null_row = (None,) * len(right.columns)
+        rows = [left_rows[i] + (null_row if j is None else right_rows[j]) for i, j in pairs]
+        segment_ids = [left_segments[i] for i, _ in pairs]
+        return _Relation(left.columns + right.columns, rows, segment_ids, left.num_segments)
+
+    def _cross(self, left: _Relation, right: _Relation, stats: ExecutionStats) -> _Relation:
+        """The Cartesian product, left-major."""
+        pairs = [(i, j) for i in range(len(left.rows)) for j in range(len(right.rows))]
+        relation = self._combine(left, right, pairs)
+        stats.record_join("cross", len(relation.rows))
+        return relation
 
     def _joined_relation(
-        self, left: _Relation, right: _Relation, outcome, stats: Optional[ExecutionStats]
+        self, left: _Relation, right: _Relation, outcome, stats: ExecutionStats
     ) -> _Relation:
         """The relation one hash-join step produced, recorded on ``stats``."""
-        if stats is not None:
-            estimated = self._join_estimates(left, right).output_rows
-            stats.record_join(outcome.strategy, len(outcome.rows), estimated_rows=estimated)
+        estimated = self._join_estimates(left, right).output_rows
+        stats.record_join(outcome.strategy, len(outcome.rows), estimated_rows=estimated)
         return _Relation(
             left.columns + right.columns, outcome.rows, outcome.segment_ids, left.num_segments
         )
@@ -452,30 +623,33 @@ class Executor:
         )
 
     def _execute_join(
-        self, join: Join, parameters, stats: Optional[ExecutionStats] = None
-    ) -> _Relation:
-        left = self._scan_from_item(join.left, parameters, stats)
-        right = self._scan_from_item(join.right, parameters, stats)
-        pairs: List[Tuple[int, Optional[int]]] = []
+        self, join: Join, where: Optional[Expression], parameters, stats: ExecutionStats
+    ) -> Tuple[_Relation, Optional[Expression]]:
+        """Run one ``JOIN``; ``(relation, residual WHERE)``.
+
+        Each side is scanned under the WHERE conjuncts :meth:`_push_where`
+        gives it.  Filtering a side keeps its row order, so the join still
+        emits probe-major, build-minor — the nested loop's order.
+        """
+        pushdown = self._push_where([join.left, join.right], where, parameters, join)
+        left_where, right_where = (None, None) if pushdown is None else pushdown.sides
+        residual = where if pushdown is None else pushdown.residual
+        left = self._side(join.left, left_where, parameters, stats)
+        right = self._side(join.right, right_where, parameters, stats)
         if join.kind == "cross" or join.condition is None:
-            for i in range(len(left.rows)):
-                for j in range(len(right.rows)):
-                    pairs.append((i, j))
-            relation = self._combine(left, right, pairs)
-            if stats is not None:
-                stats.record_join("cross", len(relation.rows))
-            return relation
+            return self._cross(left, right, stats), residual
 
         plan = self._hash_join_plan(left, right, join, parameters)
         if plan is not None:
             outcome = execute_hash_join(plan, left, right)
-            return self._joined_relation(left, right, outcome, stats)
+            return self._joined_relation(left, right, outcome, stats), residual
 
         # Nested-loop fallback: non-equi conditions, volatile subtrees, names
         # the planner could not resolve.
         condition = self._compile(
             join.condition, self._compiler_env(left.columns + right.columns, parameters)
         )
+        pairs: List[Tuple[int, Optional[int]]] = []
         for i, left_row in enumerate(left.rows):
             matched = False
             for j, right_row in enumerate(right.rows):
@@ -485,9 +659,8 @@ class Executor:
             if join.kind == "left" and not matched:
                 pairs.append((i, None))
         relation = self._combine(left, right, pairs)
-        if stats is not None:
-            stats.record_join("nested_loop", len(relation.rows))
-        return relation
+        stats.record_join("nested_loop", len(relation.rows))
+        return relation, residual
 
     def _hash_join_plan(self, left: _Relation, right: _Relation, join: Join, parameters):
         """The hash-join plan for an ON join, or ``None``: the nested loop."""
@@ -504,131 +677,51 @@ class Executor:
         self,
         from_items: List[object],
         parameters,
-        where: Optional[Expression] = None,
-        stats: Optional[ExecutionStats] = None,
+        where: Optional[Expression],
+        stats: ExecutionStats,
     ) -> Tuple[_Relation, Optional[Expression]]:
         """Materialize the FROM clause; returns ``(relation, residual WHERE)``.
 
-        For a multi-source FROM list with a WHERE clause, the planner tries
-        to turn the legacy Cartesian-product-then-filter shape into a chain
-        of pushed-down prefilters and hash-join steps
-        (:func:`repro.engine.join.classify_where_conjuncts`); WHERE conjuncts
-        consumed by the plan are removed from the returned residual.  When
-        planning is not applicable (single source, no WHERE, unsafe clause)
-        the WHERE comes back untouched.
+        A single source takes :meth:`_scan_filtered` under the whole WHERE.
+        A comma list is joined left to right exactly as written, each source
+        scanned under the conjuncts :meth:`_push_where` gave it and each step
+        a hash join on the equality edges it completes (else Cartesian), so
+        the emitted order is the product's lexicographic ``(source 0 row,
+        source 1 row, ...)`` order restricted to surviving rows —
+        byte-identical to product-then-filter.
         """
         if not from_items:
             # SELECT without FROM: a single empty row.
             return _Relation([], [()], [0], 1), where
-        relations = [self._scan_from_item(item, parameters, stats) for item in from_items]
-        if len(relations) == 1:
-            return relations[0], where
-        if where is not None:
-            planned = self._plan_multi_from(relations, where, parameters, stats)
-            if planned is not None:
-                return planned
-        relation = relations[0]
-        for right in relations[1:]:
-            pairs = [(i, j) for i in range(len(relation.rows)) for j in range(len(right.rows))]
-            relation = self._combine(relation, right, pairs)
-            if stats is not None:
-                stats.record_join("cross", len(relation.rows))
-        return relation, where
-
-    def _plan_multi_from(
-        self,
-        relations: List[_Relation],
-        where: Expression,
-        parameters,
-        stats: Optional[ExecutionStats],
-    ) -> Optional[Tuple[_Relation, Optional[Expression]]]:
-        """WHERE→join pushdown over a comma FROM list, or ``None`` (legacy).
-
-        Sources are joined left-to-right exactly as written; every equality
-        edge becomes usable at the step that joins its later source, so the
-        emitted row order is the Cartesian product's lexicographic
-        ``(source 0 row, source 1 row, ...)`` order restricted to surviving
-        rows — byte-identical to product-then-filter.
-        """
-        functions = self._function_registry()
-        all_columns = [column for relation in relations for column in relation.columns]
-        source_of: List[int] = []
-        for source, relation in enumerate(relations):
-            source_of.extend([source] * len(relation.columns))
-        classified = classify_where_conjuncts(
-            where, ColumnLayout.for_columns(all_columns), source_of, functions
+        if len(from_items) == 1:
+            return self._scan_filtered(from_items[0], where, parameters, stats)
+        pushdown = self._push_where(from_items, where, parameters) or _Pushdown(
+            [None] * len(from_items), [None] * (len(from_items) - 1), where
         )
-        if classified is None:
-            return None
-        prefilters, edges, residual = classified
-
-        # Compile and apply the single-source prefilters (no relation is
-        # mutated before every compile has succeeded).
-        predicates: Dict[int, Callable] = {}
-        for source, conjuncts in prefilters.items():
-            predicate = compile_expression(
-                conjoin(conjuncts),
-                ColumnLayout(relations[source].context_keys()),
-                functions,
-                parameters,
-            )
-            if predicate is None:
-                return None
-            predicates[source] = predicate
-        filtered: List[_Relation] = []
-        for source, relation in enumerate(relations):
-            predicate = predicates.get(source)
-            if predicate is not None:
-                rows, segment_ids = apply_prefilter(
-                    predicate, relation.rows, relation.segment_ids
-                )
-                relation = _Relation(relation.columns, rows, segment_ids, relation.num_segments)
-            filtered.append(relation)
-
-        current = filtered[0]
-        for position in range(1, len(filtered)):
-            right = filtered[position]
-            step_left: List[Expression] = []
-            step_right: List[Expression] = []
-            for source_a, expr_a, source_b, expr_b in edges:
-                if max(source_a, source_b) != position:
-                    continue  # both joined already, or the later source is ahead
-                if source_a == position:
-                    step_left.append(expr_b)
-                    step_right.append(expr_a)
-                else:
-                    step_left.append(expr_a)
-                    step_right.append(expr_b)
-            if not step_left:
-                pairs = [
-                    (i, j)
-                    for i in range(len(current.rows))
-                    for j in range(len(right.rows))
-                ]
-                current = self._combine(current, right, pairs)
-                if stats is not None:
-                    stats.record_join("cross", len(current.rows))
-                continue
-            plan = plan_key_join(
-                current.columns, right.columns, step_left, step_right, functions, parameters
-            )
+        sides = [
+            self._side(item, side, parameters, stats)
+            for item, side in zip(from_items, pushdown.sides)
+        ]
+        relation = sides[0]
+        for right, plan in zip(sides[1:], pushdown.steps):
             if plan is None:
-                return None
-            outcome = execute_hash_join(plan, current, right)
-            current = self._joined_relation(current, right, outcome, stats)
-        return current, conjoin(residual)
+                relation = self._cross(relation, right, stats)
+            else:
+                outcome = execute_hash_join(plan, relation, right)
+                relation = self._joined_relation(relation, right, outcome, stats)
+        return relation, pushdown.residual
 
     # ------------------------------------------------------------------ SELECT
 
     def _expand_select_items(
-        self, items: List[SelectItem], relation: _Relation
+        self, items: List[SelectItem], columns: List[Tuple[Optional[str], str]]
     ) -> List[SelectItem]:
         expanded: List[SelectItem] = []
         for item in items:
             if isinstance(item.expression, Star):
                 qualifier = item.expression.qualifier
                 matched = False
-                for alias, name in relation.columns:
+                for alias, name in columns:
                     if qualifier is None or (alias and alias.lower() == qualifier.lower()):
                         expanded.append(SelectItem(ColumnRef(name, alias), name))
                         matched = True
@@ -680,34 +773,27 @@ class Executor:
                     calls.append(node)
         return calls
 
-    def _choose_single_table_path(self, statement: SelectStatement, parameters):
-        """``(ref, table, AccessPath)`` for a single-table WHERE, or ``None``.
+    def _choose_single_table_path(self, ref: TableRef, where: Expression, parameters):
+        """``(ref, table, AccessPath)`` for a table scanned under ``where``, or
+        ``None``.
 
-        The one place access-path selection happens: ``_execute_select`` runs
-        the chosen probe, and EXPLAIN calls this too so the displayed plan is
-        the executed plan by construction.
+        The one place access-path selection happens: :meth:`_scan_filtered`
+        runs the chosen probe, and EXPLAIN calls this too so the displayed
+        plan is the executed plan by construction.
         """
-        if len(statement.from_items) != 1 or not isinstance(
-            statement.from_items[0], TableRef
-        ):
-            return None
-        if statement.where is None:
-            return None
-        ref = statement.from_items[0]
         if not self.catalog.has_table(ref.name):
             return None  # the scan path raises the proper catalog error
         table = self.catalog.get_table(ref.name)
         if not any(index.usable for index in table.indexes):
             return None
-        statistics = self.catalog.get_statistics(table.name)
         path = choose_access_path(
             table,
             ref.effective_alias,
-            statement.where,
+            where,
             self._function_registry(),
             parameters,
             self._aggregate_names(),
-            statistics,
+            self.catalog.get_statistics(table.name),
         )
         if path is None:
             return None
@@ -746,98 +832,53 @@ class Executor:
         return relation, path.residual
 
     def _vectorized_single_table(
-        self, statement: SelectStatement, parameters, stats: ExecutionStats
+        self, ref: TableRef, where: Expression, parameters, stats: ExecutionStats
     ) -> Optional[_Relation]:
         """Bitmap-vectorized WHERE over one base table, or ``None``.
 
-        When the FROM clause is a single base table and the WHERE
-        clause is in the vector-compilable subset, evaluate the predicate
+        When ``where`` is in the vector-compilable subset, evaluate it
         segment-at-a-time over the packed columns into selection bitmaps —
         no per-row Python at all — and return a relation whose rows are the
         selected positions, materialized lazily (:class:`SelectedRows`).
         ``None`` (compile decline or runtime abort on any segment) sends the
         caller to the row path; both paths are byte-identical by contract.
         """
-        if statement.where is None:
-            return None
-        if len(statement.from_items) != 1 or not isinstance(
-            statement.from_items[0], TableRef
-        ):
-            return None
-        ref = statement.from_items[0]
-        if not self.catalog.has_table(ref.name):
-            return None  # the scan path raises the proper catalog error
         table = self.catalog.get_table(ref.name)
-        columns = self._table_columns(ref, table)
         predicate = compile_predicate_vector(
-            statement.where,
-            ColumnLayout(keys_for_columns(columns)),
+            where,
+            ColumnLayout.for_columns(self._table_columns(ref, table)),
             [column.sql_type for column in table.schema],
             parameters,
         )
         if predicate is None:
             return None
-        parts: List[Tuple[Any, Any]] = []
         selections: List[Any] = []
-        segment_ids: List[int] = []
-        width = 0
-        matched = 0
         for segment in range(table.num_segments):
-            store = table.column_store(segment)
-            mask = predicate.mask(store)
+            mask = predicate.mask(table.column_store(segment))
             if mask is None:
                 return None  # runtime abort (e.g. demoted column) → row path
-            positions = np.flatnonzero(mask)
-            width += len(store)
-            matched += len(positions)
-            parts.append((store, positions))
-            selections.append(positions)
-            segment_ids.extend([segment] * len(positions))
-        statistics = self.catalog.get_statistics(table.name)
-        estimated = (
-            float(statistics.row_count)
-            if statistics is not None and not statistics.is_stale(table)
-            else float(width)
-        )
+            selections.append(np.flatnonzero(mask))
+        relation = self._stored_relation(ref, table, selections)
+        width, matched = len(table), len(relation.rows)
         # Rows *touched* is the bitmap width (every stored row was examined),
         # not the popcount — rows_matched reports the survivors.
         stats.rows_scanned_per_source.append(width)
         stats.scan_details.append(
             ScanDetail(
-                table.name, "seq", width, estimated_rows=estimated, vectorized=True
+                table.name, "seq", width, estimated_rows=self._row_estimate(table), vectorized=True
             )
         )
         stats.where_vectorized = True
         stats.bitmap_selectivity = (matched / width) if width else 0.0
-        return _Relation(
-            columns,
-            SelectedRows(parts),
-            segment_ids,
-            table.num_segments,
-            source_table=table,
-            segment_selections=selections,
-        )
+        return relation
 
     def _filtered_relation(
         self, statement: SelectStatement, parameters, stats: ExecutionStats
     ) -> Tuple[_Relation, _CompileEnv]:
         """FROM and WHERE: the rows the rest of the statement works on."""
-        relation = None
-        residual_where = statement.where
-        chosen = self._choose_single_table_path(statement, parameters)
-        if chosen is not None:
-            indexed = self._execute_index_scan(chosen, stats)
-            if indexed is not None:
-                relation, residual_where = indexed
-        if relation is None:
-            vectorized = self._vectorized_single_table(statement, parameters, stats)
-            if vectorized is not None:
-                relation = vectorized
-                residual_where = None
-        if relation is None:
-            relation, residual_where = self._build_relation(
-                statement.from_items, parameters, statement.where, stats
-            )
+        relation, residual_where = self._build_relation(
+            statement.from_items, parameters, statement.where, stats
+        )
         # Per-source base rows *touched*, never the size of a join product;
         # single-source statements keep the historical value (their base
         # scan), and an index scan counts only its probe results.
@@ -846,28 +887,17 @@ class Executor:
             if stats.rows_scanned_per_source
             else len(relation.rows)
         )
-        env = self._compiler_env(relation.columns, parameters)
-
-        if residual_where is not None:
-            predicate = self._compile(residual_where, env)
-            kept = [i for i, row in enumerate(relation.rows) if predicate(row) is True]
-            relation = _Relation(
-                relation.columns,
-                [relation.rows[i] for i in kept],
-                [relation.segment_ids[i] for i in kept],
-                relation.num_segments,
-            )
-            # The column layout is unchanged, so `env` stays valid.
+        relation = self._filter(relation, residual_where, parameters)
         # Rows surviving the WHERE stage — distinct from rows *touched*
         # (``rows_scanned``), which an index scan keeps small.
         stats.rows_matched = len(relation.rows)
-        return relation, env
+        return relation, self._compiler_env(relation.columns, parameters)
 
     def _execute_select(self, statement: SelectStatement, parameters) -> ResultSet:
         stats = ExecutionStats(statement_kind="select")
         relation, env = self._filtered_relation(statement, parameters, stats)
 
-        select_items = self._expand_select_items(statement.select_items, relation)
+        select_items = self._expand_select_items(statement.select_items, relation.columns)
         output_names = [self._output_name(item, i) for i, item in enumerate(select_items)]
 
         all_expressions = [item.expression for item in select_items]
@@ -902,6 +932,7 @@ class Executor:
             if window_calls:
                 # Window results ride as trailing slots of each row, where
                 # the select list and ORDER BY read them back by position.
+                rows = materialized(rows)
                 window_values = compute_window_values(
                     window_calls,
                     rows,

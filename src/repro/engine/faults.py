@@ -65,7 +65,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = [
     "Fault",
@@ -233,10 +233,6 @@ class FaultInjector:
         """Every fired fault, in firing order (a copy)."""
         with self._lock:
             return list(self._history)
-
-    def armed_sites(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(self._sites)
 
     def reset(self) -> None:
         """Forget probe counters, firing counts and history; keep the arms."""

@@ -33,7 +33,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .columnar import ArrayColumn, ColumnStore, DictColumn, TypedColumn, gather_positions
+from .columnar import (
+    ArrayColumn, ColumnStore, DictColumn, TypedColumn, gather_positions, materialized,
+)
 from .expressions import ColumnRef, Expression, Literal
 from .planner import constant_value
 from .segments import AggregateTimings
@@ -419,7 +421,7 @@ def _group_frames(executor, group_by, call_plans, relation, env):
             for segment, (store, at) in enumerate(parts)
         ]
         return frames, "columnar", None
-    rows = relation.rows
+    rows = materialized(relation.rows)
     runs = segment_runs(relation.segment_ids)
     if runs is None:  # fold as one stream, in row order
         runs = [(0, 0, len(rows))]

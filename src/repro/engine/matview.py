@@ -318,8 +318,9 @@ def plan_matview(executor, name: str, sql: str, statement: Statement) -> Materia
     if reason is None:
         ref = statement.from_items[0]
         table = executor.catalog.get_table(ref.name)
-        relation_columns = executor._table_columns(ref, table)
-        items = _expand_items(executor, statement.select_items, relation_columns)
+        items = executor._expand_select_items(
+            statement.select_items, executor._table_columns(ref, table)
+        )
         columns = [executor._output_name(item, i) for i, item in enumerate(items)]
         view = MaterializedView(
             name,
@@ -337,19 +338,6 @@ def plan_matview(executor, name: str, sql: str, statement: Statement) -> Materia
             name, sql, statement, None, None, "recompute", dependencies, None, reason
         )
     return view
-
-
-class _ColumnsOnly:
-    """Minimal stand-in for ``_Relation`` where only ``.columns`` is read."""
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns):
-        self.columns = columns
-
-
-def _expand_items(executor, items, relation_columns) -> List[SelectItem]:
-    return executor._expand_select_items(items, _ColumnsOnly(relation_columns))
 
 
 # ---------------------------------------------------------------- maintenance plan

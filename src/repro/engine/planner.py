@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .compile import ColumnLayout, compile_expression, keys_for_columns
 from .expressions import (
@@ -675,6 +675,16 @@ _JOIN_STRATEGY_LABELS = {
 }
 
 
+#: The scan node label of each executed access (``ScanDetail.access``).
+_ACCESS_LABELS = {
+    "seq": "Seq Scan",
+    "index": "Index Scan",
+    "subquery": "Subquery Scan",
+    "function": "Function Scan",
+    "matview": "MatView Scan",
+}
+
+
 class _ExplainBuilder:
     """Builds the plan tree for one statement, mirroring executor decisions."""
 
@@ -716,29 +726,22 @@ class _ExplainBuilder:
             return float(statistics.row_count)
         return float(len(table))
 
-    def _static_columns(self, item) -> Optional[List[Tuple[Optional[str], str]]]:
-        from .parser.ast_nodes import Join, TableRef
-
-        if isinstance(item, TableRef):
-            if not self.catalog.has_table(item.name):
-                return None
-            table = self.catalog.get_table(item.name)
-            return [(item.effective_alias, name) for name in table.schema.names]
-        if isinstance(item, Join):
-            left = self._static_columns(item.left)
-            right = self._static_columns(item.right)
-            if left is None or right is None:
-                return None
-            return left + right
-        return None
-
     # -- FROM items ---------------------------------------------------------
 
-    def _scan_node(self, item, single_table_path=None) -> PlanNode:
+    def _scan_node(self, item, where=None) -> PlanNode:
+        """The plan of one FROM item scanned under ``where`` — the conjuncts
+        execution scans it under (:meth:`Executor._scan_filtered`)."""
         from .parser.ast_nodes import FunctionSource, Join, SubquerySource, TableRef
 
+        if isinstance(item, Join):
+            return self._join_node(item, where)
         if isinstance(item, TableRef):
             display = item.name if item.alias is None else f"{item.name} {item.alias}"
+            chosen = (
+                None
+                if where is None
+                else self.executor._choose_single_table_path(item, where, self.parameters)
+            )
             if not self.catalog.has_table(item.name) and self.catalog.has_matview(item.name):
                 view = self.catalog.get_matview(item.name)
                 estimate = (
@@ -749,25 +752,20 @@ class _ExplainBuilder:
                     f"Freshness: {'stale' if view.is_stale(self.catalog) else 'fresh'}"
                 )
                 node.lines.append(f"Maintenance: {view.strategy}")
-                self.scan_nodes.append(node)
-                return node
-            if single_table_path is not None:
-                path = single_table_path
+            elif chosen is not None:
+                path = chosen[2]
                 node = PlanNode(
                     "Index Scan",
                     f"using {path.index.name} on {display}",
                     estimated_rows=path.estimated_rows,
                 )
                 node.lines.append(f"Index Cond: {path.condition_sql}")
-                if path.residual is not None:
-                    node.lines.append(f"Filter: {expression_sql(path.residual)}")
+                where = path.residual
             else:
                 node = PlanNode(
                     "Seq Scan", f"on {display}", estimated_rows=self._table_estimate(item.name)
                 )
-            self.scan_nodes.append(node)
-            return node
-        if isinstance(item, SubquerySource):
+        elif isinstance(item, SubquerySource):
             child = self._build_isolated(item.select)
             node = PlanNode(
                 "Subquery Scan",
@@ -775,28 +773,29 @@ class _ExplainBuilder:
                 estimated_rows=child.estimated_rows,
                 children=[child],
             )
-            self.scan_nodes.append(node)
-            return node
-        if isinstance(item, FunctionSource):
+        elif isinstance(item, FunctionSource):
             node = PlanNode("Function Scan", f"on {item.name} {item.alias}")
-            self.scan_nodes.append(node)
-            return node
-        if isinstance(item, Join):
-            return self._join_node(item)
-        return PlanNode(type(item).__name__)
+        else:
+            return PlanNode(type(item).__name__)
+        if where is not None:
+            node.lines.append(f"Filter: {expression_sql(where)}")
+        self.scan_nodes.append(node)
+        return node
 
-    def _join_node(self, join) -> PlanNode:
+    def _join_node(self, join, where) -> PlanNode:
         from .join import plan_hash_join
 
-        left = self._scan_node(join.left)
-        right = self._scan_node(join.right)
+        pushdown = self.executor._push_where([join.left, join.right], where, self.parameters, join)
+        left_where, right_where = (None, None) if pushdown is None else pushdown.sides
+        left = self._scan_node(join.left, left_where)
+        right = self._scan_node(join.right, right_where)
         label = "Nested Loop"
         detail = ""
         if join.kind == "cross" or join.condition is None:
             label = "Nested Loop (cross)"
         else:
-            left_columns = self._static_columns(join.left)
-            right_columns = self._static_columns(join.right)
+            left_columns = self.executor._static_columns(join.left)
+            right_columns = self.executor._static_columns(join.right)
             if left_columns is not None and right_columns is not None:
                 plan = plan_hash_join(
                     left_columns,
@@ -813,6 +812,9 @@ class _ExplainBuilder:
         node = PlanNode(label, detail, children=[left, right])
         if join.condition is not None:
             node.lines.append(f"Join Cond: {expression_sql(join.condition)}")
+        residual = where if pushdown is None else pushdown.residual
+        if residual is not None:
+            node.lines.append(f"Filter: {expression_sql(residual)}")
         estimates = [c.estimated_rows for c in (left, right) if c.estimated_rows is not None]
         if len(estimates) == 2 and label.startswith("Hash"):
             node.estimated_rows = max(estimates)
@@ -866,27 +868,15 @@ class _ExplainBuilder:
         from .parser.ast_nodes import TableRef
 
         executor = self.executor
-        single_path = None
         single_ref = (
             statement.from_items[0]
             if len(statement.from_items) == 1 and isinstance(statement.from_items[0], TableRef)
             else None
         )
-        if single_ref is not None and statement.where is not None:
-            chosen = executor._choose_single_table_path(statement, self.parameters)
-            if chosen is not None:
-                single_path = chosen[2]
-
         if not statement.from_items:
             node: PlanNode = PlanNode("Result", estimated_rows=1)
         elif len(statement.from_items) == 1:
-            node = self._scan_node(statement.from_items[0], single_table_path=single_path)
-            if (
-                single_path is None
-                and statement.where is not None
-                and node.label in ("Seq Scan", "Subquery Scan", "Function Scan", "MatView Scan")
-            ):
-                node.lines.append(f"Filter: {expression_sql(statement.where)}")
+            node = self._scan_node(statement.from_items[0], statement.where)
         else:
             node = self._comma_join_chain(statement)
 
@@ -939,32 +929,20 @@ class _ExplainBuilder:
         return node
 
     def _comma_join_chain(self, statement) -> PlanNode:
-        from .join import classify_where_conjuncts
-
         items = statement.from_items
-        static = [self._static_columns(item) for item in items]
-        hash_positions = set()
-        if statement.where is not None and all(columns is not None for columns in static):
-            all_columns = [column for columns in static for column in columns]
-            source_of: List[int] = []
-            for source, columns in enumerate(static):
-                source_of.extend([source] * len(columns))
-            classified = classify_where_conjuncts(
-                statement.where, ColumnLayout.for_columns(all_columns), source_of, self.functions
-            )
-            if classified is not None:
-                _prefilters, edges, _residual = classified
-                for source_a, _expr_a, source_b, _expr_b in edges:
-                    hash_positions.add(max(source_a, source_b))
-        node = self._scan_node(items[0])
+        pushdown = self.executor._push_where(items, statement.where, self.parameters)
+        sides = [None] * len(items) if pushdown is None else pushdown.sides
+        node = self._scan_node(items[0], sides[0])
         for position in range(1, len(items)):
-            right = self._scan_node(items[position])
-            label = "Hash Join" if position in hash_positions else "Nested Loop (cross)"
+            right = self._scan_node(items[position], sides[position])
+            hashed = pushdown is not None and pushdown.steps[position - 1] is not None
+            label = "Hash Join" if hashed else "Nested Loop (cross)"
             join = PlanNode(label, "(implicit)", children=[node, right])
             self.join_nodes.append(join)
             node = join
-        if statement.where is not None:
-            node.lines.append(f"Filter: {expression_sql(statement.where)}")
+        residual = statement.where if pushdown is None else pushdown.residual
+        if residual is not None:
+            node.lines.append(f"Filter: {expression_sql(residual)}")
         return node
 
 
@@ -987,12 +965,12 @@ def explain_statement(executor, target, parameters, *, analyze: bool = False) ->
         if stats is not None:
             for node, detail in zip(builder.scan_nodes, stats.scan_details):
                 node.actual_rows = detail.rows_touched
-                if detail.access == "index" and node.label != "Index Scan":
-                    node.label = "Index Scan"
-                    if detail.index_name:
-                        node.detail = f"using {detail.index_name} {node.detail}"
-                elif detail.access == "seq" and node.label == "Index Scan":
-                    node.label = "Seq Scan"
+                executed = _ACCESS_LABELS[detail.access]
+                if executed != node.label:
+                    # A degraded index falls back to the scan at run time:
+                    # show what ran, and what the plan predicted.
+                    node.lines.append(f"Planned: {node.label} {node.detail}")
+                    node.label, node.detail = executed, "on " + node.detail.partition(" on ")[2]
                 if detail.access == "seq" and node.label == "Seq Scan":
                     # Whether the WHERE ran as a bitmap over packed columns
                     # (columnar vectorized path) or as a per-row predicate.

@@ -353,6 +353,50 @@ def test_point_reads_and_dml_deltas_never_build_the_row_view(monkeypatch):
     assert built == [store] and reads <= len(store) // ColumnStore._CACHE_AFTER
 
 
+def test_reads_after_a_write_never_build_the_row_view(monkeypatch):
+    """Statements that read a few rows, or only the packed columns, must not
+    rebuild a written segment's row view: a join lookup whose WHERE probes the
+    index below the join, a grouped view's recompute (a WHERE-less scan is
+    lazy) and a top-k whose LIMIT covers every selected row (the selection
+    gathers only its own rows)."""
+    db = Database(num_segments=4)
+    db.create_table(
+        "t",
+        [("id", "integer"), ("dim_id", "integer"), ("cat", "text"), ("q", "integer"),
+         ("v", "double precision")],
+        distributed_by="id",
+    )
+    db.create_table("dim", [("dim_id", "integer"), ("region", "text")])
+    db.load_rows("t", [(i, i % 50, f"c{i % 7}", i % 500, float(i)) for i in range(2000)])
+    db.load_rows("dim", [(i, f"r{i % 3}") for i in range(50)])
+    db.execute("CREATE INDEX t_id ON t USING hash (id)")
+    db.execute("CREATE MATERIALIZED VIEW by_cat AS SELECT cat, count(*), sum(v) FROM t GROUP BY cat")
+    join = "SELECT t.id, t.v, d.region FROM t JOIN dim d ON t.dim_id = d.dim_id WHERE t.id = 7"
+    db.execute(join)  # the small side's row view stands from here on
+    built = []
+    rows_view = ColumnStore.rows_view
+    monkeypatch.setattr(
+        ColumnStore, "rows_view", lambda store: built.append(store) or rows_view(store)
+    )
+
+    db.execute("UPDATE t SET v = 1.5 WHERE id = 8")
+    lookup = db.execute(join)
+    assert lookup.rows == [(7, 7.0, "r1")]
+    assert lookup.stats.scan_details[0].access == "index"
+    assert lookup.stats.join_rows_emitted == 1
+    assert built == [], "join lookup after a write"
+
+    db.execute("UPDATE t SET v = 2.5 WHERE id = 9")
+    view = db.execute("SELECT * FROM by_cat")
+    assert view.stats.matview_recomputes == 1
+    assert built == [], "grouped view recompute after an UPDATE"
+
+    db.execute("UPDATE t SET v = 3.5 WHERE id = 10")
+    top = db.execute("SELECT id, v FROM t WHERE q = 3 ORDER BY v DESC LIMIT 5")
+    assert top.rows == [(1503, 1503.0), (1003, 1003.0), (503, 503.0), (3, 3.0)]
+    assert built == [], "top-k after a write"
+
+
 def test_column_store_take_preserves_values():
     """keep_positions (bitmap DELETE) preserves exact values and nulls."""
     db = Database(num_segments=1)

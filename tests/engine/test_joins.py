@@ -20,6 +20,7 @@ an oracle that shares no code with the engine.
 
 from __future__ import annotations
 
+import re
 import sqlite3
 
 import pytest
@@ -96,6 +97,8 @@ def _load_join_tables(db: Database) -> Database:
     for name, columns, rows, distributed_by in _join_tables():
         db.create_table(name, columns, distributed_by=distributed_by)
         db.load_rows(name, rows)
+    # A WHERE pushed into the emp side of a join can take an index probe.
+    db.execute("CREATE INDEX emp_id ON emp (id)")
     return db
 
 
@@ -191,6 +194,29 @@ CORPUS = [
     "SELECT g.i, e.name FROM generate_series(1, 5) g(i) JOIN emp e ON g.i = e.id ORDER BY g.i",
     # Bare (unambiguous) column names across sides.
     "SELECT name, dept_name FROM emp JOIN dept ON emp.dept_id = dept.dept_id ORDER BY name, dept_name",
+    # WHERE over explicit joins: conjuncts on each side of an inner join are
+    # pushed into that side's scan ...
+    "SELECT e.id, d.dept_name FROM emp e JOIN dept d ON e.dept_id = d.dept_id "
+    "WHERE e.salary > 1100 AND d.budget > 150",
+    # ... of a LEFT JOIN only into the preserved side ...
+    "SELECT e.id, d.dept_name FROM emp e LEFT JOIN dept d ON e.dept_id = d.dept_id "
+    "WHERE e.salary > 1200",
+    # ... while a conjunct on the NULL-extended side stays above the join.
+    "SELECT e.id FROM emp e LEFT JOIN dept d ON e.dept_id = d.dept_id WHERE d.dept_name IS NULL",
+    # Nested joins: each conjunct reaches the scan it reads, through inner
+    # joins and the preserved side of a LEFT JOIN.
+    "SELECT a.id, b.id, d.dept_name FROM emp a JOIN emp b ON a.id = b.id - 1 "
+    "JOIN dept d ON b.dept_id = d.dept_id WHERE a.salary > 1100 AND d.budget < 300 AND b.id < 30",
+    "SELECT e.id, d.dept_name, m.id FROM emp e LEFT JOIN dept d ON e.dept_id = d.dept_id "
+    "JOIN emp m ON m.id = e.id + 1 WHERE e.id < 14 AND d.budget IS NULL",
+    # A volatile function anywhere in the WHERE pushes nothing.
+    "SELECT e.id, d.dept_name FROM emp e JOIN dept d ON e.dept_id = d.dept_id "
+    "WHERE random() >= 0.0 AND e.salary > 1100",
+    # The pushed side takes an index probe (point and range).
+    "SELECT e.id, e.name, d.dept_name FROM emp e JOIN dept d ON e.dept_id = d.dept_id WHERE e.id = 7",
+    "SELECT e.id, d.dept_name FROM emp e LEFT JOIN dept d ON e.dept_id = d.dept_id "
+    "WHERE e.id BETWEEN 3 AND 9 AND e.salary > 1000",
+    "SELECT e.id, d.dept_name FROM emp e, dept d WHERE e.dept_id = d.dept_id AND e.id < 8",
 ]
 
 
@@ -204,6 +230,12 @@ SQLITE_SPELLING = {
     "SELECT g.i, e.name FROM generate_series(1, 5) g(i) JOIN emp e ON g.i = e.id ORDER BY g.i": (
         "WITH RECURSIVE g(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM g WHERE i < 5) "
         "SELECT g.i, e.name FROM g JOIN emp e ON g.i = e.id ORDER BY g.i"
+    ),
+    # SQLite's random() is a signed 64-bit integer; the engine's is in [0, 1).
+    "SELECT e.id, d.dept_name FROM emp e JOIN dept d ON e.dept_id = d.dept_id "
+    "WHERE random() >= 0.0 AND e.salary > 1100": (
+        "SELECT e.id, d.dept_name FROM emp e JOIN dept d ON e.dept_id = d.dept_id "
+        "WHERE random() IS NOT NULL AND e.salary > 1100"
     ),
 }
 
@@ -275,6 +307,84 @@ class TestStrategySelection:
             "ON e.dept_id = d.dept_id AND random() >= 0.0"
         )
         assert db.last_stats.join_strategy == "nested_loop"
+
+
+class TestWherePushdown:
+    JOIN = "SELECT e.id, e.name, d.dept_name FROM emp e JOIN dept d ON e.dept_id = d.dept_id"
+
+    def test_point_conjunct_probes_the_index_before_the_join(self, tiers):
+        result = tiers["hash"].execute(self.JOIN + " WHERE e.id = 7")
+        assert result.rows == [(7, "emp_7", "sales"), (7, "emp_7", "sales_emea")]
+        assert result.stats.scan_details[0].access == "index"
+        assert result.stats.scan_details[0].rows_touched == 1
+        assert result.stats.join_rows_emitted == 2
+
+    def test_plain_explain_shows_the_pushed_side(self, tiers):
+        plan = tiers["hash"].explain(self.JOIN + " WHERE e.id = 7 AND d.budget > 100")
+        assert "-> Index Scan using emp_id on emp e" in plan
+        assert "Index Cond: e.id = 7" in plan
+        assert "Filter: d.budget > 100" in plan  # on the dept scan
+        assert plan.count("Filter:") == 1  # nothing is left above the join
+
+    def test_null_extended_side_keeps_its_conjunct_above_the_join(self, tiers):
+        query = (
+            "SELECT e.id FROM emp e LEFT JOIN dept d ON e.dept_id = d.dept_id "
+            "WHERE d.dept_name IS NULL AND e.salary > 1100"
+        )
+        lines = tiers["hash"].explain(query).splitlines()
+        assert lines[0].startswith("Hash Join (left)")
+        assert "  Filter: d.dept_name IS NULL" in lines  # the join's residual
+        assert "       Filter: e.salary > 1100" in lines  # the emp scan's
+        result = tiers["hash"].execute(query)
+        assert result.stats.where_vectorized  # the emp side ran as a bitmap
+        assert result.rows == tiers["interpreted"].execute(query).rows
+
+    def test_volatile_where_pushes_nothing(self, tiers):
+        db = tiers["hash"]
+        unfiltered = db.execute("SELECT count(*) FROM emp e JOIN dept d ON e.dept_id = d.dept_id")
+        db.execute(
+            "SELECT count(*) FROM emp e JOIN dept d ON e.dept_id = d.dept_id "
+            "WHERE random() >= 0.0 AND e.salary > 1100"
+        )
+        assert not db.last_stats.where_vectorized
+        assert db.last_stats.join_rows_emitted == unfiltered.rows[0][0]
+
+    def test_volatile_on_condition_pushes_nothing(self, tiers):
+        db = tiers["hash"]
+        db.execute(
+            "SELECT count(*) FROM emp e JOIN dept d ON e.dept_id = d.dept_id AND random() >= 0.0 "
+            "WHERE e.id = 7"
+        )
+        assert [detail.access for detail in db.last_stats.scan_details] == ["seq", "seq"]
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT e.id, d.dept_name FROM emp e JOIN dept d ON e.dept_id = d.dept_id WHERE e.id < 9",
+            "SELECT e.id FROM emp e, dept d WHERE e.dept_id = d.dept_id AND d.budget > 100",
+            "SELECT e.id, sum(e.id) OVER (ORDER BY e.id) FROM emp e JOIN dept d "
+            "ON e.dept_id = d.dept_id WHERE e.salary > 1100",
+            "SELECT e.id FROM emp e WHERE e.salary > 1100",
+            "SELECT e.id, e.salary FROM emp e WHERE e.salary > 1100 ORDER BY e.salary LIMIT 3",
+        ],
+    )
+    def test_results_are_plain_lists(self, tiers, query):
+        """Lazy row views never escape the statement that built them."""
+        assert type(tiers["hash"].execute(query).rows) is list
+
+
+def _scan_labels(plan: str):
+    return re.findall(r"(\w+ Scan)\b", plan)
+
+
+@pytest.mark.parametrize("query", CORPUS)
+def test_explain_access_labels_match_execution(tiers, query):
+    """Plain EXPLAIN predicts each scan's access path; EXPLAIN ANALYZE labels
+    a scan node by the access that ran, so the two must agree."""
+    db = tiers["hash"]
+    planned = _scan_labels(db.explain(query))
+    assert planned and planned == _scan_labels(db.explain(query, analyze=True)), query
+    assert "Planned:" not in db.explain(query, analyze=True)
 
 
 class TestScanAccounting:

@@ -433,6 +433,16 @@ class TestExplain:
         assert "Delete on t" in text
         assert db.execute("SELECT count(*) FROM t WHERE id = 5").scalar() == 0
 
+    def test_explain_analyze_shows_a_probe_that_fell_back(self):
+        """The plan predicts the probe; a cross-kind value makes the index
+        decline at run time, and ANALYZE says so instead of hiding it."""
+        db = _indexed_db()
+        plan = db.explain("SELECT v FROM t WHERE id = 'x'")
+        assert "Index Scan using t_id on t" in plan
+        lines = db.explain("SELECT v FROM t WHERE id = 'x'", analyze=True).splitlines()
+        assert lines[0].startswith("Seq Scan on t ")
+        assert "  Planned: Index Scan using t_id on t" in lines
+
     def test_explain_seq_scan_with_filter(self):
         db = _indexed_db()
         text = db.explain("SELECT * FROM t WHERE v = 1.0")

@@ -287,13 +287,13 @@ class ReferenceExecutor(Executor):
     def _hash_join_plan(self, left, right, join, parameters):
         return None
 
-    def _plan_multi_from(self, relations, where, parameters, stats):
+    def _push_where(self, items, where, parameters, join=None):
         return None
 
-    def _choose_single_table_path(self, statement, parameters):
+    def _choose_single_table_path(self, ref, where, parameters):
         return None
 
-    def _vectorized_single_table(self, statement, parameters, stats):
+    def _vectorized_single_table(self, ref, where, parameters, stats):
         return None
 
     def _match_masks(self, table, where, env):
